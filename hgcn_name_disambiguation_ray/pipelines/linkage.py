@@ -6,11 +6,16 @@
     -> map_batches(add_block_keys)            # M1 normalized-name key
     [-> parquet checkpoint 'mentions']        # resume point; count pass reads
                                               #   ONLY the block_key column
-    -> salt assignment (broadcast salt map)   # hot-key skew split
+    -> map_batches(AssignSalt(salt_map))      # hot-key skew split; a fused
+                                              #   task, the map rides in the closure
     -> groupby(block_key, salt)               # THE shuffle
-       .map_groups(BlockScorer)               # stateful actor pool, per block
+       .map_groups(BlockScorer)               # the only actor pool, per block
     -> [closure over hub + cross-salt edges]  # only when salting occurred
     -> clusters(block_key, salt, mention_id, cluster_id)
+
+`run_linkage` and `run_linkage_sharded` share the mention prep
+(`_prepare_mentions`) and the salt -> score -> merge tail
+(`_score_and_merge`); the sharded path runs the tail once per shard.
 
 Nothing materializes the pages table; mentions (token/key columns only,
 no html) are the only intermediate, either checkpointed to Parquet or —
@@ -83,6 +88,7 @@ CLUSTERS_SCHEMA = pa.schema(
         ("cluster_id", pa.string()),
     ]
 )
+OUT_COLS = CLUSTERS_SCHEMA.names
 
 
 def extract_mentions(pages: Dataset, cfg: LinkageConfig | None = None) -> Dataset:
@@ -148,11 +154,11 @@ def _scorer_parts(n_rows: int, cfg: LinkageConfig) -> int:
 def _merge_hot_relabel(
     clusters: Dataset, salt_map: dict, cfg: LinkageConfig, out_cols: list[str]
 ) -> Dataset:
-    """Shared tail of run_linkage / _score_and_merge: hot keys were split
-    into salts, so sub-block LOCAL CLUSTERS merge transitively when they
-    share >= cfg.cross_salt_min_signals distinct merge signals (coentity /
-    LSH band) across salts; merges never cross block keys. The root map
-    (one row per merged hot cluster) is broadcast for the final relabel."""
+    """Last step of `_score_and_merge`: hot keys were split into salts, so
+    sub-block LOCAL CLUSTERS merge transitively when they share >=
+    cfg.cross_salt_min_signals distinct merge signals (coentity / LSH
+    band) across salts; merges never cross block keys. The root map (one
+    row per merged hot cluster, small) rides in the relabel's closure."""
     hot_keys = set(salt_map)
 
     def hot_filter(t: pa.Table) -> pa.Table:
@@ -164,25 +170,21 @@ def _merge_hot_relabel(
     roots_df = hot_cluster_roots(
         hot_clusters, cfg, min_signals=cfg.cross_salt_min_signals
     ).to_pandas()
+    if roots_df.empty:
+        # no hot cluster merged (e.g. a shard holding none of the run's hot
+        # keys); the empty result carries no columns, and relabel is a no-op
+        return clusters.select_columns(out_cols)
     root_map = dict(zip(roots_df["cluster_id"], roots_df["root"]))
-    root_ref = ray.put(root_map)
 
-    class Relabel:
-        def __init__(self, ref):
-            self.roots = ray.get(ref)
+    def relabel(df: pd.DataFrame) -> pd.DataFrame:
+        df = df[out_cols].copy()
+        # vectorized: only hot-key clusters can appear in the root map,
+        # so map + where beats a per-row Python closure over the corpus
+        m = df["cluster_id"].map(root_map)
+        df["cluster_id"] = m.where(m.notna(), df["cluster_id"])
+        return df
 
-        def __call__(self, df: pd.DataFrame) -> pd.DataFrame:
-            df = df[out_cols].copy()
-            # vectorized: only hot-key clusters can appear in the root map,
-            # so map + where beats a per-row Python closure over the corpus
-            m = df["cluster_id"].map(self.roots)
-            df["cluster_id"] = m.where(m.notna(), df["cluster_id"])
-            return df
-
-    return clusters.map_batches(
-        Relabel, fn_constructor_args=(root_ref,), batch_format="pandas",
-        concurrency=(1, 4),
-    )
+    return clusters.map_batches(relabel, batch_format="pandas")
 
 
 def run_linkage(
@@ -199,47 +201,82 @@ def run_linkage(
     it in so the expensive parse stage runs once, not twice; it bypasses
     the mentions checkpoint, so pair it with a matching lineage_token."""
     cfg = cfg or LinkageConfig()
+    mentions = _prepare_mentions(pages, cfg, checkpoint_dir, lineage_token, mentions)
+    salt_map = _salt_map(mentions, cfg)
+    scorer_ckpt = None
+    if checkpoint_dir:
+        # the scorer is the expensive stage — its own checkpoint lets a
+        # resumed run skip straight to the (cheap) merge/relabel
+        scorer_ckpt = (
+            f"{checkpoint_dir}/clusters",
+            fingerprint("clusters-v1", lineage_token, cfg, sorted(salt_map.items())),
+        )
+    return _score_and_merge(mentions, cfg, salt_map, scorer_ckpt)
+
+
+def _prepare_mentions(
+    pages: Dataset,
+    cfg: LinkageConfig,
+    checkpoint_dir: str | None,
+    lineage_token: str,
+    mentions: Dataset | None = None,
+) -> Dataset:
+    """extract (unless `mentions` is given), then the optional
+    `cross_merge="title"` 2-hop extension; each stage is checkpointed
+    when `checkpoint_dir` is set and pinned otherwise, so the skew-stats
+    pass and the scorer read it without recomputing the extract."""
+
+    def stage(make, name: str, version: str, schema: pa.Schema) -> Dataset:
+        if not checkpoint_dir:
+            return make().materialize()
+        return checkpoint_stage(
+            make, f"{checkpoint_dir}/{name}",
+            fingerprint(version, lineage_token, cfg), schema=schema,
+        )
 
     if mentions is None:
-        if checkpoint_dir:
-            mentions = checkpoint_stage(
-                lambda: extract_mentions(pages, cfg),
-                f"{checkpoint_dir}/mentions",
-                fingerprint("mentions-v1", lineage_token, cfg),
-                schema=MENTIONS_SCHEMA,
-            )
-        else:
-            mentions = extract_mentions(pages, cfg).materialize()
-
+        mentions = stage(lambda: extract_mentions(pages, cfg), "mentions",
+                         "mentions-v1", MENTIONS_SCHEMA)
     if cfg.cross_merge == "title":
         # artifact regime: derive the 2-hop collaborator column before
         # blocking (global graph — must precede any key partitioning)
         from hgcn_name_disambiguation_ray.stages.coent import extend_coentities
 
         base = mentions
-        if checkpoint_dir:
-            mentions = checkpoint_stage(
-                lambda: extend_coentities(base, cfg),
-                f"{checkpoint_dir}/mentions_ext",
-                fingerprint("mentions-ext-v1", lineage_token, cfg),
-                schema=MENTIONS_EXT_SCHEMA,
-            )
-        else:
-            mentions = extend_coentities(base, cfg).materialize()
+        mentions = stage(lambda: extend_coentities(base, cfg), "mentions_ext",
+                         "mentions-ext-v1", MENTIONS_EXT_SCHEMA)
+    return mentions
 
+
+def _salt_map(mentions: Dataset, cfg: LinkageConfig) -> dict[str, int]:
     # only hot keys (n > salt_cap) leave the Dataset — the distinct-key
     # set is unbounded at web scale and must never reach the driver whole
-    counts = block_counts(mentions, min_count=cfg.salt_cap)
-    salt_map = make_salt_map(counts, cfg.salt_cap)
-    salt_ref = ray.put(salt_map)
+    return make_salt_map(block_counts(mentions, min_count=cfg.salt_cap), cfg.salt_cap)
 
-    salted = mentions.map_batches(
-        AssignSalt, fn_constructor_args=(salt_ref,), batch_format="pyarrow",
-        concurrency=(1, 8),
-    )
 
+def _score_and_merge(
+    mentions: Dataset,
+    cfg: LinkageConfig,
+    salt_map: dict[str, int],
+    scorer_ckpt: tuple[str, str] | None = None,
+) -> Dataset:
+    """The linkage tail over a pinned or checkpointed mention set: salt ->
+    repartition -> BlockScorer -> optional scorer checkpoint (stage dir,
+    lineage) -> cross-salt merge when any key was salted. Output columns
+    are CLUSTERS_SCHEMA's."""
+    if ray.cluster_resources().get("CPU", 0) < 2:
+        # the BlockScorer pool takes a CPU for its actor up front; with one
+        # CPU in the cluster the upstream repartition/sort tasks never get
+        # scheduled and the job hangs instead of failing
+        raise RuntimeError(
+            "run_linkage needs at least 2 Ray CPUs: the BlockScorer actor "
+            "pool holds the only CPU that the upstream repartition and sort "
+            "tasks need, so the job would hang"
+        )
+    # an AssignSalt INSTANCE runs as a plain task fused with its neighbours
+    # (the salt map holds hot keys only and travels in the closure)
+    salted = mentions.map_batches(AssignSalt(salt_map), batch_format="pyarrow")
     salted = salted.repartition(_scorer_parts(mentions.count(), cfg))
-
     w2v_ref = _w2v_blob_ref(cfg)
 
     def score() -> Dataset:
@@ -250,28 +287,17 @@ def run_linkage(
             concurrency=cfg.scorer_concurrency,
         )
 
-    out_cols = ["block_key", "salt", "mention_id", "cluster_id"]
-    if checkpoint_dir:
-        # the scorer is the expensive stage — its own checkpoint lets a
-        # resumed run skip straight to the (cheap) merge/relabel below
-        clusters = checkpoint_stage(
-            score,
-            f"{checkpoint_dir}/clusters",
-            fingerprint("clusters-v1", lineage_token, cfg, sorted(salt_map.items())),
-            schema=SCORER_SCHEMA,
-        )
+    if scorer_ckpt:
+        clusters = checkpoint_stage(score, *scorer_ckpt, schema=SCORER_SCHEMA)
     else:
         clusters = score()
-
     if not salt_map:
-        return clusters.select_columns(out_cols)
-
-    if not checkpoint_dir:
+        return clusters.select_columns(OUT_COLS)
+    if not scorer_ckpt:
         # the scorer output feeds BOTH the cross-salt edge derivation and
-        # the final relabel below — pin it so the scorer runs exactly once
+        # the final relabel — pin it so the scorer runs exactly once
         clusters = clusters.materialize()
-
-    return _merge_hot_relabel(clusters, salt_map, cfg, out_cols)
+    return _merge_hot_relabel(clusters, salt_map, cfg, OUT_COLS)
 
 
 def run_linkage_artifact(
@@ -349,30 +375,10 @@ def run_linkage_sharded(
     import os
 
     from hgcn_name_disambiguation_ray.functions.hashing import stable_hash64_array
-    from hgcn_name_disambiguation_ray.sources.checkpoint import (
-        checkpoint_stage,
-        fingerprint,
-    )
 
     cfg = cfg or LinkageConfig()
-    mentions = checkpoint_stage(
-        lambda: extract_mentions(pages, cfg),
-        f"{checkpoint_dir}/mentions",
-        fingerprint("mentions-v1", lineage_token, cfg),
-        schema=MENTIONS_SCHEMA,
-    )
-    if cfg.cross_merge == "title":
-        from hgcn_name_disambiguation_ray.stages.coent import extend_coentities
-
-        base = mentions
-        mentions = checkpoint_stage(
-            lambda: extend_coentities(base, cfg),
-            f"{checkpoint_dir}/mentions_ext",
-            fingerprint("mentions-ext-v1", lineage_token, cfg),
-            schema=MENTIONS_EXT_SCHEMA,
-        )
-    counts = block_counts(mentions, min_count=cfg.salt_cap)
-    salt_map = make_salt_map(counts, cfg.salt_cap)
+    mentions = _prepare_mentions(pages, cfg, checkpoint_dir, lineage_token)
+    salt_map = _salt_map(mentions, cfg)
 
     def shard_of(t: pa.Table) -> pa.Table:
         import numpy as np
@@ -384,7 +390,6 @@ def run_linkage_sharded(
     sharded = mentions.map_batches(shard_of, batch_format="pyarrow")
     base_lineage = fingerprint("clusters-shard-v1", lineage_token, cfg,
                                sorted(salt_map.items()), n_shards)
-    out_cols = ["block_key", "salt", "mention_id", "cluster_id"]
 
     done, missing = [], []
     for s in range(n_shards):
@@ -400,16 +405,13 @@ def run_linkage_sharded(
 
     budget = len(missing) if max_shards_this_run is None else max_shards_this_run
     for s in missing[:budget]:
-        import pyarrow.compute as pc
-
+        # pin the shard's mention set: it is a lazy filter over the
+        # checkpoint scan, and the tail's count() and scorer would otherwise
+        # each re-execute that scan end to end
         shard_ds = sharded.filter(expr=f"__shard == {s}").drop_columns(["__shard"])
-        clusters = _score_and_merge(shard_ds, cfg, salt_map)
-
-        def project(t: pa.Table) -> pa.Table:
-            return t.select(out_cols)
-
+        clusters = _score_and_merge(shard_ds.materialize(), cfg, salt_map)
         checkpoint_stage(
-            lambda: clusters.map_batches(project, batch_format="pyarrow"),
+            lambda: clusters,
             os.path.join(checkpoint_dir, f"shard={s}"),
             f"{base_lineage}:{s}",
             schema=CLUSTERS_SCHEMA,
@@ -419,7 +421,7 @@ def run_linkage_sharded(
     if len(done) < n_shards:
         return None  # crashed / budgeted run: resume later
     # read_parquet accepts one directory but not a list of them: expand.
-    # (project out_cols: hive discovery parses the shard=N path segment
+    # (project OUT_COLS: hive discovery parses the shard=N path segment
     # into a surplus column, and the unsharded path's schema is the contract)
     files = []
     for s in range(n_shards):
@@ -427,47 +429,17 @@ def run_linkage_sharded(
         files.extend(
             os.path.join(d, f) for f in sorted(os.listdir(d)) if f.endswith(".parquet")
         )
-    return rd.read_parquet(files).select_columns(out_cols)
-
-
-def _score_and_merge(mentions: Dataset, cfg: LinkageConfig, salt_map: dict) -> Dataset:
-    """Scorer + cross-salt merge over one (already sharded) mention set —
-    the shared tail of run_linkage, factored for the sharded path."""
-    # pin the (shard-bounded) mention set: the sharded caller passes a lazy
-    # filter over the checkpoint scan, and the count() below plus the scorer
-    # pipeline would otherwise each re-execute that scan end to end
-    mentions = mentions.materialize()
-    salt_ref = ray.put(salt_map)
-    salted = mentions.map_batches(
-        AssignSalt, fn_constructor_args=(salt_ref,), batch_format="pyarrow",
-        concurrency=(1, 8),
-    )
-    salted = salted.repartition(_scorer_parts(mentions.count(), cfg))
-    clusters = salted.groupby(["block_key", "salt"]).map_groups(
-        BlockScorer, fn_constructor_args=(cfg, False, bool(salt_map), _w2v_blob_ref(cfg)),
-        batch_format="pyarrow", concurrency=cfg.scorer_concurrency,
-    )
-    out_cols = ["block_key", "salt", "mention_id", "cluster_id"]
-    if not salt_map:
-        return clusters.select_columns(out_cols)
-    clusters = clusters.materialize()
-    return _merge_hot_relabel(clusters, salt_map, cfg, out_cols)
+    return rd.read_parquet(files).select_columns(OUT_COLS)
 
 
 def clusters_with_truth(clusters: Dataset, truth: pa.Table) -> Dataset:
     """Attach ground-truth person_id (fixtures only) for evaluation."""
     tdf = truth.to_pandas()[["mention_id", "person_id"]]
-    ref = ray.put(tdf)
 
-    class Join:
-        def __init__(self, ref):
-            self.truth = ray.get(ref)
+    def join(df: pd.DataFrame) -> pd.DataFrame:
+        return df.merge(tdf, on="mention_id", how="inner")
 
-        def __call__(self, df: pd.DataFrame) -> pd.DataFrame:
-            return df.merge(self.truth, on="mention_id", how="inner")
-
-    return clusters.map_batches(Join, fn_constructor_args=(ref,), batch_format="pandas",
-                                concurrency=(1, 4))
+    return clusters.map_batches(join, batch_format="pandas")
 
 
 def write_clusters(clusters: Dataset, out_dir: str) -> None:

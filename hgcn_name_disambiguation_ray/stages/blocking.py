@@ -10,8 +10,8 @@ Replaces the reference's implicit "one XML file per name" blocking
      over a single projected column.
   3. `make_salt_map` / `AssignSalt` — hot keys (count > salt_cap) are
      split into ceil(count/salt_cap) salts by stable mention-id hash;
-     the salt map is broadcast once via `ray.put`, read per actor, never
-     re-shipped per batch. Analogue of the reference's max_works=100 cap
+     the salt map holds hot keys only, so it ships inside the salt task.
+     Analogue of the reference's max_works=100 cap
      (`openAlex_to_HGCN.py:453`).
   4. `hot_cluster_roots` — for salted blocks only, local clusters carry
      merge signals: their coentities (the reference's co-author edge
@@ -90,10 +90,13 @@ def make_salt_map(counts: pd.DataFrame, salt_cap: int) -> dict[str, int]:
 
 
 class AssignSalt:
-    """Actor-pool stage: salt = stable_hash(mention_id) % n_salts(key).
+    """Salt stage: salt = stable_hash(mention_id) % n_salts(key).
 
-    The salt map is fetched from the object store once per actor
-    (broadcast join pattern) — not shipped with every batch.
+    The linkage pipeline passes an INSTANCE built from the salt map
+    (`map_batches(AssignSalt(salt_map))`): Ray runs a callable instance as
+    a plain task that fuses with its neighbouring maps, and the map (hot
+    keys only) ships inside the task. The constructor also takes an
+    ObjectRef, fetched once per instance.
     """
 
     def __init__(self, salt_map_ref: "ray.ObjectRef | dict"):

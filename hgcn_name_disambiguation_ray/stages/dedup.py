@@ -495,6 +495,15 @@ def _finalize_components(verified: Dataset) -> Dataset:
     )
 
 
+def _require_lineage(checkpoint_dir: str | None, input_lineage: str) -> None:
+    if checkpoint_dir is not None and not input_lineage:
+        raise ValueError(
+            "checkpoint_dir needs a non-empty input_lineage identifying the "
+            "input (e.g. its parquet path): without one a different corpus "
+            "would be served a stale checkpoint"
+        )
+
+
 def minhash_lsh_dedup(
     ds: Dataset,
     text_col: str = "text",
@@ -519,6 +528,7 @@ def minhash_lsh_dedup(
     full-text pass — under the same lineage-manifest contract as the
     linkage pipeline (`sources/checkpoint.py`): a killed run resumes by
     reading signatures back instead of re-shingling the corpus."""
+    _require_lineage(checkpoint_dir, input_lineage)
     sig_stage = _SignatureStage(text_col, id_col, num_perms, shingle_n, seed)
 
     def make_sigs() -> Dataset:
@@ -840,6 +850,7 @@ def segment_dedup(
 
     `checkpoint_dir` (+ `input_lineage`) checkpoints the pass-1
     first-occurrence table so a killed run resumes at the pass-2 join."""
+    _require_lineage(checkpoint_dir, input_lineage)
 
     def narrow(t: pa.Table) -> pa.Table:
         return _segment_rows(t, text_col, id_col, seg_tokens, with_text=False)

@@ -81,18 +81,22 @@ def majority_assignment(labeled: Dataset) -> Dataset:
     return labeled.groupby("block_key").map_groups(per_block, batch_format="pandas")
 
 
+def _c2(t: pa.Table, out: str) -> pa.Table:
+    """(block_key, n) cell counts -> (block_key, out = C(n, 2)), int64-exact:
+    a float64 product loses exactness once n(n-1) passes 2^53."""
+    n = pc.cast(t["n"], pa.int64())
+    v = pc.divide(pc.multiply_checked(n, pc.subtract(n, 1)), 2)
+    return pa.table({"block_key": t["block_key"], out: v})
+
+
 def _block_c2_sums(labeled: Dataset, keys: list[str], out: str) -> Dataset:
     """Per-block Σ C(n_cell, 2) over the distinct-`keys` cells, computed
     entirely distributed: per-batch partial counts -> groupby-sum cells ->
     vectorized C(n,2) -> bucketed per-block sum. Result has exactly one
     row per block_key — the only thing the driver ever pulls."""
-
-    def c2(t: pa.Table) -> pa.Table:
-        n = pc.cast(t["n"], pa.float64())
-        v = pc.divide(pc.multiply(n, pc.subtract(n, pa.scalar(1.0))), pa.scalar(2.0))
-        return pa.table({"block_key": t["block_key"], out: v})
-
-    cells = _cell_counts(labeled, keys, "n").map_batches(c2, batch_format="pyarrow")
+    cells = _cell_counts(labeled, keys, "n").map_batches(
+        _c2, fn_args=(out,), batch_format="pyarrow"
+    )
     return bucketed_sum(cells, ["block_key"], [out])
 
 

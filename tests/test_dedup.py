@@ -449,3 +449,14 @@ def test_segment_dedup_checkpoint_resume(ray_session, tmp_path):
     )
     assert json.load(open(mpath))["written_at_epoch"] == stamp1
     pd.testing.assert_frame_equal(out1, out2)
+
+
+@pytest.mark.parametrize("fn_name", ["minhash_lsh_dedup", "segment_dedup"])
+def test_dedup_checkpoint_requires_lineage(fn_name, tmp_path):
+    """A checkpoint without an input lineage would serve a different corpus
+    the old stage output: refuse it before any work is planned."""
+    from hgcn_name_disambiguation_ray.stages import dedup
+
+    with pytest.raises(ValueError, match="input_lineage"):
+        getattr(dedup, fn_name)(None, checkpoint_dir=str(tmp_path / "ck"))
+    assert not (tmp_path / "ck").exists()

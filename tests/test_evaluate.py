@@ -117,3 +117,19 @@ def test_eval_driver_pull_is_one_row_per_block(ray_session):
     ]:
         sums = _block_c2_sums(labeled, keys, out)
         assert sums.count() == n_blocks
+
+
+def test_c2_is_integer_exact_above_2_53():
+    """C(n, 2) of a cell count stays int64-exact where a float64 product
+    would round: n = 2**27 + 3 puts n(n-1)/2 above 2^53. No rows built."""
+    import pyarrow as pa
+
+    from hgcn_name_disambiguation_ray.stages.evaluate import _c2
+
+    n = 2**27 + 3
+    counts = pa.table({"block_key": ["big", "pair", "one"], "n": pa.array([n, 2, 1], pa.int64())})
+    got = _c2(counts, "tp")
+    assert got.schema.field("tp").type == pa.int64()
+    assert got["tp"].to_pylist() == [n * (n - 1) // 2, 1, 0]
+    assert n * (n - 1) // 2 > 2**53
+    assert int(float(n) * (n - 1) / 2) != n * (n - 1) // 2  # the float path rounds

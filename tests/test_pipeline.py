@@ -167,10 +167,13 @@ def test_overlap_stress_conformance():
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_sharded_checkpoint_kill_resume(tmp_path):
+@pytest.mark.parametrize("salt_cap", [512, 16])
+def test_sharded_checkpoint_kill_resume(tmp_path, salt_cap):
     """Per-partition resume: a run killed after 2 of 4 shards must resume
     by recomputing ONLY the missing shards, and the final clusters must
-    equal a clean unsharded run."""
+    equal a clean unsharded run. salt_cap=16 salts the 24-mention hot
+    name (the other names have 12), so the shared tail's cross-salt merge
+    runs inside a shard."""
     import json
     import os
 
@@ -188,7 +191,7 @@ def test_sharded_checkpoint_kill_resume(tmp_path):
         str(tmp_path / "fx"),
     )
     pages = rd.read_parquet(paths["pages"])
-    cfg = LinkageConfig()
+    cfg = LinkageConfig(salt_cap=salt_cap)
     ckpt = str(tmp_path / "ckpt")
 
     # "crash" after 2 shards
@@ -213,6 +216,7 @@ def test_sharded_checkpoint_kill_resume(tmp_path):
 
     got = out.to_pandas().sort_values("mention_id").reset_index(drop=True)
     want = run_linkage(pages, cfg).to_pandas().sort_values("mention_id").reset_index(drop=True)
+    assert (got["salt"].max() > 0) == (salt_cap < 24)
     # cluster ids are min-member-derived, deterministic across both paths
     pd.testing.assert_frame_equal(
         got[["mention_id", "block_key", "cluster_id"]],
@@ -362,3 +366,22 @@ def test_clusters_json_summary_row_gate(ray_session):
         clusters_json_summary(ds, max_rows=5)
     out = clusters_json_summary(ds, max_rows=10)
     assert out["b"][0] == [f"m{i}" for i in range(5)]
+
+
+def test_linkage_tail_refuses_one_cpu(ray_session, monkeypatch):
+    """With one Ray CPU the BlockScorer pool would starve the upstream
+    shuffle tasks and hang: the tail shared by run_linkage and
+    run_linkage_sharded raises before planning anything."""
+    import ray
+    import ray.data as rd
+
+    from hgcn_name_disambiguation_ray.config import LinkageConfig
+    from hgcn_name_disambiguation_ray.pipelines.linkage import (
+        MENTIONS_SCHEMA,
+        _score_and_merge,
+    )
+
+    mentions = rd.from_arrow(MENTIONS_SCHEMA.empty_table())
+    monkeypatch.setattr(ray, "cluster_resources", lambda: {"CPU": 1.0})
+    with pytest.raises(RuntimeError, match="at least 2 Ray CPUs"):
+        _score_and_merge(mentions, LinkageConfig(), {})
