@@ -24,6 +24,7 @@ trip without external data.
 
 from __future__ import annotations
 
+import re
 import zlib
 from datetime import datetime, timezone
 
@@ -114,6 +115,11 @@ def parse_warc(data: bytes) -> list[dict]:
     return records
 
 
+# trailer section after the last chunk: *(field-line CRLF) CRLF, a field
+# line being `token ":" value` (RFC 7230 §4.1.2, §3.2)
+_TRAILER = re.compile(rb"(?:[!#$%&'*+.^_`|~0-9A-Za-z-]+:[^\r\n]*\r\n)*\r\n")
+
+
 def _dechunk(body: bytes) -> bytes:
     """Undo Transfer-Encoding: chunked framing (hex size line + CRLF per
     chunk, 0-size terminator). Raises ValueError on broken framing."""
@@ -134,11 +140,11 @@ def _dechunk(body: bytes) -> bytes:
             raise ValueError("corrupt chunked encoding (negative chunk size)")
         pos = eol + 2
         if size == 0:
-            # last-chunk must be followed by the terminating CRLF (or
-            # nothing, for truncated-at-the-boundary captures); a plain
-            # body that merely STARTS with "0\r\n" must not silently
-            # decode to empty
-            if body[pos:] not in (b"", b"\r\n"):
+            # last-chunk must be followed by optional trailer fields and
+            # the terminating CRLF (or nothing, for truncated-at-the-
+            # boundary captures); a plain body that merely STARTS with
+            # "0\r\n" must not silently decode to empty
+            if pos < len(body) and not _TRAILER.fullmatch(body, pos):
                 raise ValueError("corrupt chunked encoding (bad terminator)")
             break
         if pos + size > len(body):

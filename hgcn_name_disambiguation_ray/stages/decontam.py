@@ -15,10 +15,8 @@ import numpy as np
 import pyarrow as pa
 from ray.data import Dataset
 
-from hgcn_name_disambiguation_ray.stages.dedup import (
-    _shingle_hashes_flat,
-    _token_hashes_flat,
-)
+from hgcn_name_disambiguation_ray.functions.text import split_ws_hashed
+from hgcn_name_disambiguation_ray.stages.dedup import _shingle_hashes_flat
 
 class _ContaminationScan:
     """Actor-pool stage: count benchmark-overlapping n-gram shingles per
@@ -35,7 +33,7 @@ class _ContaminationScan:
         self.id_col = id_col
 
     def __call__(self, t: pa.Table) -> pa.Table:
-        th, off = _token_hashes_flat(t[self.text_col])
+        th, off = split_ws_hashed(t[self.text_col], lower=True)
         sh, sh_off = _shingle_hashes_flat(th, off, self.n)
         hit = np.zeros(len(sh), dtype=bool)
         if len(sh) and len(self.bench):
@@ -66,7 +64,7 @@ def benchmark_shingles(
     CORPUS side streams and is never materialized."""
 
     def per_batch(t: pa.Table) -> pa.Table:
-        th, off = _token_hashes_flat(t[text_col])
+        th, off = split_ws_hashed(t[text_col], lower=True)
         sh, _ = _shingle_hashes_flat(th, off, n)
         return pa.table({"s": pa.array(np.unique(sh), type=pa.uint64())})
 
@@ -98,7 +96,7 @@ def decontaminate(
     CONTRACT); corpus side is one embarrassingly-parallel map_batches —
     no shuffle, no driver materialization of corpus data. Tokenization
     and shingling are the exact kernels the dedup family uses
-    (`_token_hashes_flat` / `_shingle_hashes_flat`), so 'same n-gram'
+    (`split_ws_hashed(lower=True)` / `_shingle_hashes_flat`), so 'same n-gram'
     means the same thing across the engine."""
     import ray
 

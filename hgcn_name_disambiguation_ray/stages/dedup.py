@@ -6,29 +6,33 @@ core; the reference's only dedup is the by-id `unique_works` dict,
 `openAlex_to_HGCN.py:233-241`, SURVEY.md D1):
 
   * exact_dedup      — content hash -> hash-partitioned keep-min-id
-  * minhash_lsh_dedup— word-shingle MinHash -> banded LSH buckets ->
-                       candidate pairs -> signature-estimated Jaccard
-                       verify -> transitive closure -> canonical ids
-  * ngram_jaccard_dedup — same candidate generation, EXACT n-gram
-                       Jaccard verify over per-doc shingle-hash sets
-  * simhash_dedup    — 64-bit SimHash, banded into 4x16-bit tables,
-                       Hamming-distance verify, closure
-  * embedding_cosine_dedup — random-hyperplane LSH over an embedding
-                       column, exact-cosine verify, closure
+  * minhash_lsh_dedup— word-shingle MinHash bands, signature-estimated
+                       Jaccard verify
+  * ngram_jaccard_dedup — the same MinHash bands, EXACT n-gram Jaccard
+                       verify over per-doc shingle-hash sets
+  * simhash_dedup    — 64-bit SimHash in 4x16-bit bands, Hamming verify
+  * embedding_cosine_dedup — random-hyperplane LSH bands over an
+                       embedding column, exact-cosine verify
+
+The four near-dup operators run one pipeline, `_near_dup`: per-doc
+features -> (doc_id, band, bucket) band rows -> candidate pairs per
+(band, bucket) collision group -> verify -> transitive closure ->
+(doc_id, canonical_id). Each operator supplies only its feature map,
+its band keys and a vectorized `keep(feat_u, feat_v)` test. Where the
+verify runs depends on the feature's width:
+
+  * wide features (the 128-perm signature, the shingle-hash set, the
+    embedding vector — binary blobs) are too big to copy into every
+    band row. Band rows carry only (doc_id, band, bucket); candidates
+    are made globally distinct, then two distributed hash joins (on u,
+    then on v) ship each feature once per candidate vertex.
+  * a narrow feature (simhash's 8-byte fingerprint) rides with its band
+    rows and is verified inside the candidate bucket: one shuffle, no
+    joins.
 
 Everything streams. NOTHING here materializes an unbounded set on the
 driver: at web scale 30-50 % of the corpus is duplicated, so candidate
 pairs / signatures / vectors are NOT small relative to the input.
-
-  * minhash / ngram verify = two distributed hash joins (candidates
-    ⋈ features on u, then on v) + a vectorized per-batch check. The
-    feature payload (128-perm signature / shingle-hash set) is too wide
-    to replicate into every band row, so the join ships it exactly once
-    per referenced vertex.
-  * simhash / embedding verify runs INSIDE the candidate-pair bucket:
-    the (narrow) fingerprint / vector rides along with the band rows, so
-    pair expansion and verification happen in the same partition with
-    zero additional shuffles.
 
 All signatures are computed vectorized per batch (flat token arrays +
 segmented numpy minima); shingle hashes are a mix-chain over consecutive
@@ -43,7 +47,7 @@ from collections.abc import Callable
 import numpy as np
 import pandas as pd
 import pyarrow as pa
-from ray.data import Dataset
+from ray.data import Dataset, from_arrow
 
 from hgcn_name_disambiguation_ray.functions.hashing import (
     band_keys,
@@ -53,6 +57,7 @@ from hgcn_name_disambiguation_ray.functions.hashing import (
     perm_params,
     simhash_flat,
 )
+from hgcn_name_disambiguation_ray.functions.text import split_ws_hashed
 from hgcn_name_disambiguation_ray.stages.closure import connected_components
 from hgcn_name_disambiguation_ray.stages.similarity import _as_matrix
 from hgcn_name_disambiguation_ray.stages.groupagg import bucketed_group_apply, hash_join
@@ -139,16 +144,6 @@ def _grouped_arange(counts: np.ndarray) -> np.ndarray:
     return np.arange(total, dtype=np.int64) - np.repeat(starts, counts)
 
 
-def _token_hashes_flat(texts: pa.Array | pa.ChunkedArray) -> tuple[np.ndarray, np.ndarray]:
-    """Lowercased whitespace tokens -> (flat uint64 hashes, offsets).
-
-    Arrow-native end to end: split via Arrow kernel, hash straight off
-    the values buffers — tokens never materialize as Python objects."""
-    from hgcn_name_disambiguation_ray.functions.text import split_ws_hashed
-
-    return split_ws_hashed(texts, lower=True)
-
-
 def _shingle_hashes_flat(
     th: np.ndarray, offsets: np.ndarray, n: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -226,69 +221,29 @@ def _u64_from_bin(col: pa.Array | pa.ChunkedArray) -> tuple[np.ndarray, np.ndarr
     return vals, (offs - offs[0]) // 8
 
 
-class _SignatureStage:
-    """Per-batch MinHash signatures over word-shingle hashes of `text_col`.
-
-    With `with_sets=True` also emits the sorted-unique shingle-hash set
-    per doc (for exact-Jaccard verification)."""
-
-    def __init__(self, text_col: str, id_col: str, num_perms: int,
-                 shingle_n: int, seed: int, with_sets: bool = False):
-        self.text_col = text_col
-        self.id_col = id_col
-        self.shingle_n = shingle_n
-        self.with_sets = with_sets
-        self.a, self.b = perm_params(num_perms, seed)
-
-    def __call__(self, t: pa.Table) -> pa.Table:
-        th, toff = _token_hashes_flat(t[self.text_col])
-        sh, soff = _shingle_hashes_flat(th, toff, self.shingle_n)
-        sigs = minhash_signatures_flat(sh, soff, self.a, self.b)
-        k = len(self.a)
-        n = t.num_rows
-        cols = {
-            "doc_id": t[self.id_col],
-            "signature": _bin_from_u64(
-                sigs.reshape(-1), np.arange(0, (n + 1) * k, k, dtype=np.int64)
-            ),
-        }
-        if self.with_sets:
-            uv, uoff = _unique_per_doc(sh, soff)
-            cols["shingles"] = _bin_from_u64(uv, uoff)
-        return pa.table(cols)
-
-
-def _explode_bands(n_bands: int):
-    """(doc_id, signature) -> (doc_id, band, bucket) band rows."""
-
-    def body(t: pa.Table) -> pa.Table:
-        n = t.num_rows
-        if n == 0:
-            return pa.table(
-                {
-                    "doc_id": pa.array([], type=t["doc_id"].type),
-                    "band": pa.array([], type=pa.int32()),
-                    "bucket": pa.array([], type=pa.uint64()),
-                }
-            )
-        vals, _ = _u64_from_bin(t["signature"])
-        sigs = vals.reshape(n, -1)
-        bands = band_keys(sigs, n_bands)
-        return pa.table(
-            {
-                "doc_id": t["doc_id"].take(pa.array(np.repeat(np.arange(n), n_bands))),
-                "band": pa.array(np.tile(np.arange(n_bands, dtype=np.int32), n)),
-                "bucket": pa.array(bands.reshape(-1), type=pa.uint64()),
-            }
-        )
-
-    return body
-
-
 # --------------------------------------------------------------------------
-# candidate-pair generation (bucketed; optional feature carry + in-bucket
-# verification for ops with narrow per-doc features)
+# the near-dup pipeline: band rows -> candidate pairs -> verify -> closure
 # --------------------------------------------------------------------------
+
+def _band_rows(
+    ids: pa.Array | pa.ChunkedArray,
+    keys: np.ndarray,
+    feat: pa.Array | pa.ChunkedArray | None = None,
+) -> pa.Table:
+    """Doc-major band table for (n, n_bands) uint64 band keys: row
+    d * n_bands + b is (ids[d], b, keys[d, b]), plus a `feat` column with
+    the doc's feature when a narrow feature rides to the bucket."""
+    n, n_bands = keys.shape
+    rows = pa.array(np.repeat(np.arange(n, dtype=np.int64), n_bands))
+    cols = {
+        "doc_id": ids.take(rows),
+        "band": pa.array(np.tile(np.arange(n_bands, dtype=np.int32), n)),
+        "bucket": pa.array(keys.reshape(-1), type=pa.uint64()),
+    }
+    if feat is not None:
+        cols["feat"] = feat.take(rows)
+    return pa.table(cols)
+
 
 def _segmented_pair_indices(
     sizes: np.ndarray, max_bucket: int
@@ -353,33 +308,31 @@ def _segmented_pair_indices(
     return np.concatenate(out_u), np.concatenate(out_v)
 
 
-def _multi_member_sorted(df: pd.DataFrame) -> tuple[pd.DataFrame, np.ndarray]:
-    """Distinct (band, bucket, doc_id) rows of the >=2-member collision
-    groups, sorted by (band, bucket, doc_id), plus per-group sizes."""
+def _pairs_in_bucket_groups(
+    df: pd.DataFrame, max_bucket: int, keep: Callable | None = None
+) -> pd.DataFrame:
+    """Pair expansion for one bucket partition, fully segmented: one sort
+    of the distinct (band, bucket, doc_id) rows of the >= 2-member
+    collision groups (singleton buckets — the vast majority — drop in one
+    mask), then one numpy ordinal decode across ALL groups at once. With
+    `keep`, the pairs are verified in place: keep(feat_u, feat_v) over the
+    band rows' carried `feat` column gives the surviving mask."""
     df = df.drop_duplicates(["band", "bucket", "doc_id"])
     df = df[df.duplicated(["band", "bucket"], keep=False)]
-    if df.empty:
-        return df, np.array([], dtype=np.int64)
     df = df.sort_values(["band", "bucket", "doc_id"], ignore_index=True)
     b = df["band"].to_numpy()
     k = df["bucket"].to_numpy()
-    new = np.empty(len(df), dtype=bool)
-    new[0] = True
+    new = np.ones(len(df), dtype=bool)
     new[1:] = (b[1:] != b[:-1]) | (k[1:] != k[:-1])
     sizes = np.diff(np.append(np.flatnonzero(new), len(df)))
-    return df, sizes
-
-
-def _pairs_in_bucket_groups(df: pd.DataFrame, max_bucket: int) -> pd.DataFrame:
-    """Pair expansion for one bucket partition, fully segmented (one
-    sort + numpy ordinal decode across ALL collision groups at once;
-    singleton buckets — the vast majority — are dropped in one mask)."""
-    df, sizes = _multi_member_sorted(df)
-    if df.empty:
-        return pd.DataFrame({"u": pd.Series(dtype=np.int64), "v": pd.Series(dtype=np.int64)})
     iu, iv = _segmented_pair_indices(sizes, max_bucket)
     ids = df["doc_id"].to_numpy()
-    return pd.DataFrame({"u": ids[iu], "v": ids[iv]})
+    u, v = ids[iu], ids[iv]
+    if keep is not None and len(iu):
+        feat = df["feat"].to_numpy()
+        ok = keep(feat[iu], feat[iv])
+        u, v = u[ok], v[ok]
+    return pd.DataFrame({"u": u, "v": v})
 
 
 def _candidate_pairs(band_rows: Dataset, max_bucket: int = 200) -> Dataset:
@@ -405,54 +358,12 @@ def _candidate_pairs(band_rows: Dataset, max_bucket: int = 200) -> Dataset:
     )
 
 
-def _candidate_pairs_verified(
-    band_rows: Dataset,
-    feat_col: str,
-    verify: Callable[[pd.DataFrame], pd.DataFrame],
-    max_bucket: int = 200,
-    n_buckets: int = 64,
-) -> Dataset:
-    """Pair expansion WITH the per-doc feature carried into the bucket, so
-    verification runs vectorized in the same partition (no second shuffle,
-    no driver materialization). `verify` maps a DataFrame(u, v, feat_u,
-    feat_v) to the surviving DataFrame(u, v).
-
-    Use only for NARROW features (a uint64 fingerprint, one embedding):
-    the feature is replicated once per band row."""
-
-    def per_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame({"u": pd.Series(dtype=df["doc_id"].dtype),
-                              "v": pd.Series(dtype=df["doc_id"].dtype)})
-        df, sizes = _multi_member_sorted(df)
-        if df.empty:
-            return empty
-        iu, iv = _segmented_pair_indices(sizes, max_bucket)
-        ids = df["doc_id"].to_numpy()
-        feats = df[feat_col].to_numpy()
-        pairs = pd.DataFrame(
-            {"u": ids[iu], "v": ids[iv], "feat_u": feats[iu], "feat_v": feats[iv]}
-        ).drop_duplicates(["u", "v"])
-        if pairs.empty:
-            return empty
-        kept = verify(pairs)
-        return kept if len(kept) else empty
-
-    return bucketed_group_apply(band_rows, ["band", "bucket"], per_bucket, n_buckets=n_buckets)
-
-
-# --------------------------------------------------------------------------
-# distributed feature attach + verify (wide features: signatures, sets)
-# --------------------------------------------------------------------------
-
 def _verify_pairs_by_join(
-    cand: Dataset,
-    feats: Dataset,
-    feat_col: str,
-    verify_batch: Callable[[pa.Table], pa.Table],
-    num_partitions: int | None = None,
+    cand: Dataset, feats: Dataset, feat_col: str, keep: Callable
 ) -> Dataset:
-    """Attach per-vertex features to candidate pairs with two distributed
-    hash joins (on u, then on v) and run a vectorized verify per batch.
+    """Attach per-vertex features to the (materialized) candidate pairs
+    with two distributed hash joins (on u, then on v) and keep the pairs
+    whose keep(feat_u, feat_v) mask holds, vectorized per batch.
 
     This is the scale path: candidate pairs at web scale are O(corpus), so
     neither the pairs nor the feature map may be pulled to the driver or
@@ -460,16 +371,21 @@ def _verify_pairs_by_join(
     candidate vertices — non-colliding docs never ship their features.
 
     Partition count is sized from the actual bytes moved (~256 MB per
-    partition, floored at 2, capped at 4x cluster CPUs): each hash-join
-    partition costs a fixed aggregator-actor overhead (~1.5 s measured),
-    so small candidate sets must not fan out to #CPU partitions."""
-    if num_partitions is None:
-        import ray
+    partition, capped at 4x cluster CPUs): each hash-join partition costs
+    a fixed aggregator-actor overhead (~1.5 s measured), so small
+    candidate sets must not fan out to #CPU partitions. It is also capped
+    at one per 64 candidates: Ray's join sends an input's schema to the
+    partitions only with that input's first block, and not at all when
+    that block is empty, so a partition that gets no row of that input
+    fails on a column-less table. The first join emits an empty block
+    for each partition no candidate hashes to; at >= 64 candidates per
+    partition the odds of one are below P * e^-64, and with one partition
+    (any non-empty candidate set) there is none."""
+    import ray
 
-        cand = cand.materialize()
-        total = (cand.size_bytes() or 0) + (feats.size_bytes() or 0)
-        cap = max(8, 4 * int(ray.cluster_resources().get("CPU", 8)))
-        num_partitions = int(max(2, min(cap, total // (256 << 20) + 1)))
+    total = (cand.size_bytes() or 0) + (feats.size_bytes() or 0)
+    cap = max(8, 4 * int(ray.cluster_resources().get("CPU", 8)))
+    num_partitions = int(max(1, min(cap, total // (256 << 20) + 1, cand.count() // 64)))
     fu = feats.map_batches(
         lambda t: pa.table({"u": t["doc_id"], f"{feat_col}_u": t[feat_col]}),
         batch_format="pyarrow",
@@ -480,16 +396,69 @@ def _verify_pairs_by_join(
     )
     j = hash_join(cand, fu, on=["u"], num_partitions=num_partitions)
     j = hash_join(j, fv, on=["v"], num_partitions=num_partitions)
-    return j.map_batches(verify_batch, batch_format="pyarrow")
+
+    def verify(t: pa.Table) -> pa.Table:
+        if t.num_rows:
+            t = t.filter(pa.array(keep(t[f"{feat_col}_u"], t[f"{feat_col}_v"])))
+        return t.select(["u", "v"])
+
+    return j.map_batches(verify, batch_format="pyarrow")
 
 
-def _empty_edges(id_type: pa.DataType) -> pa.Table:
-    return pa.table({"u": pa.array([], type=id_type), "v": pa.array([], type=id_type)})
+def _no_dups() -> Dataset:
+    empty = pa.array([], type=pa.int64())
+    return from_arrow(pa.table({"doc_id": empty, "canonical_id": empty}))
 
 
-def _finalize_components(verified: Dataset) -> Dataset:
-    comps = connected_components(verified)
-    return comps.map_batches(
+def _near_dup(
+    feats: Dataset,
+    feat_col: str,
+    n_bands: int,
+    band_keys_of: Callable[[pa.Table], np.ndarray],
+    keep: Callable,
+    max_bucket: int = 200,
+    in_bucket: bool = False,
+) -> Dataset:
+    """The near-dup pipeline behind all four operators: per-doc features
+    (doc_id, feat_col) -> band rows -> candidate pairs -> verify ->
+    closure -> (doc_id, canonical_id), canonical id = min doc id.
+
+    `band_keys_of` maps a feature batch to its (n, n_bands) uint64 band
+    keys; `keep` maps the u-side and v-side feature values of a batch of
+    pairs to a bool mask. A wide feature (signature, shingle set, vector)
+    is attached to the globally distinct candidates by
+    `_verify_pairs_by_join`; a narrow one (`in_bucket`: simhash's 8-byte
+    fingerprint) rides with its band rows and is verified inside the
+    candidate bucket, with no join. Buckets with more than `max_bucket`
+    members expand to star + chain edges.
+
+    No candidate or no verified pair (an empty input included) gives 0
+    rows with the int64 output columns, and no join runs on an empty
+    candidate set."""
+    if not in_bucket:
+        feats = feats.materialize()  # read twice: band rows, then the joins
+
+    def band_batch(t: pa.Table) -> pa.Table:
+        keys = band_keys_of(t) if t.num_rows else np.zeros((0, n_bands), dtype=np.uint64)
+        return _band_rows(t["doc_id"], keys, t[feat_col] if in_bucket else None)
+
+    band_rows = feats.map_batches(band_batch, batch_format="pyarrow")
+    if in_bucket:
+        edges = bucketed_group_apply(
+            band_rows,
+            ["band", "bucket"],
+            lambda df: _pairs_in_bucket_groups(df, max_bucket, keep).drop_duplicates(["u", "v"]),
+            n_buckets=64,
+        )
+    else:
+        cand = _candidate_pairs(band_rows, max_bucket).materialize()
+        if cand.count() == 0:
+            return _no_dups()
+        edges = _verify_pairs_by_join(cand, feats, feat_col, keep)
+    edges = edges.materialize()
+    if edges.count() == 0:
+        return _no_dups()
+    return connected_components(edges).map_batches(
         lambda df: pd.DataFrame({"doc_id": df["mention_id"], "canonical_id": df["component"]}),
         batch_format="pandas",
     )
@@ -529,10 +498,17 @@ def minhash_lsh_dedup(
     linkage pipeline (`sources/checkpoint.py`): a killed run resumes by
     reading signatures back instead of re-shingling the corpus."""
     _require_lineage(checkpoint_dir, input_lineage)
-    sig_stage = _SignatureStage(text_col, id_col, num_perms, shingle_n, seed)
+    a, b = perm_params(num_perms, seed)
+
+    def signatures(t: pa.Table) -> pa.Table:
+        th, toff = split_ws_hashed(t[text_col], lower=True)
+        sigs = minhash_signatures_flat(*_shingle_hashes_flat(th, toff, shingle_n), a, b)
+        offsets = np.arange(t.num_rows + 1, dtype=np.int64) * len(a)
+        return pa.table({"doc_id": t[id_col],
+                         "signature": _bin_from_u64(sigs.reshape(-1), offsets)})
 
     def make_sigs() -> Dataset:
-        return ds.map_batches(sig_stage, batch_format="pyarrow")
+        return ds.map_batches(signatures, batch_format="pyarrow")
 
     if checkpoint_dir is not None:
         import os
@@ -549,25 +525,20 @@ def minhash_lsh_dedup(
                 "minhash_sigs_v1", input_lineage, text_col, id_col, num_perms,
                 shingle_n, seed,
             ),
-        ).materialize()
+        )
     else:
-        sigs_ds = make_sigs().materialize()
-    band_rows = sigs_ds.select_columns(["doc_id", "signature"]).map_batches(
-        _explode_bands(bands), batch_format="pyarrow"
-    )
-    cand = _candidate_pairs(band_rows)
+        sigs_ds = make_sigs()
 
-    def verify(t: pa.Table) -> pa.Table:
-        n = t.num_rows
-        if n == 0:
-            return _empty_edges(t["u"].type)
-        su, _ = _u64_from_bin(t["signature_u"])
-        sv, _ = _u64_from_bin(t["signature_v"])
-        eq = (su.reshape(n, -1) == sv.reshape(n, -1)).mean(axis=1)
-        return t.select(["u", "v"]).filter(pa.array(eq >= threshold))
+    def sig_band_keys(t: pa.Table) -> np.ndarray:
+        vals, _ = _u64_from_bin(t["signature"])
+        return band_keys(vals.reshape(t.num_rows, -1), bands)
 
-    verified = _verify_pairs_by_join(cand, sigs_ds, "signature", verify)
-    return _finalize_components(verified)
+    def keep(fu: pa.ChunkedArray, fv: pa.ChunkedArray) -> np.ndarray:
+        su, _ = _u64_from_bin(fu)
+        sv, _ = _u64_from_bin(fv)
+        return (su.reshape(len(fu), -1) == sv.reshape(len(fv), -1)).mean(axis=1) >= threshold
+
+    return _near_dup(sigs_ds, "signature", bands, sig_band_keys, keep)
 
 
 def ngram_jaccard_dedup(
@@ -579,23 +550,25 @@ def ngram_jaccard_dedup(
     seed: int = 7,
 ) -> Dataset:
     """Like minhash_lsh_dedup but with EXACT n-gram Jaccard verification
-    over per-doc sorted shingle-hash sets. Candidate pairs from LSH; the
+    over per-doc sorted shingle-hash sets. Candidate pairs from LSH (the
+    128-perm MinHash of the set, equal to the text's, in 32 bands); the
     (variable-width) sets are attached by distributed hash join and the
     intersection is computed by a segmented sort — vectorized, exact
     (up to 64-bit shingle-hash collisions), no driver materialization."""
-    sig_stage = _SignatureStage(text_col, id_col, 128, shingle_n, seed, with_sets=True)
-    feats = ds.map_batches(sig_stage, batch_format="pyarrow").materialize()
-    band_rows = feats.select_columns(["doc_id", "signature"]).map_batches(
-        _explode_bands(32), batch_format="pyarrow"
-    )
-    cand = _candidate_pairs(band_rows)
+    a, b = perm_params(128, seed)
 
-    def verify(t: pa.Table) -> pa.Table:
-        n = t.num_rows
-        if n == 0:
-            return _empty_edges(t["u"].type)
-        vu, ou = _u64_from_bin(t["shingles_u"])
-        vv, ov = _u64_from_bin(t["shingles_v"])
+    def shingle_sets(t: pa.Table) -> pa.Table:
+        th, toff = split_ws_hashed(t[text_col], lower=True)
+        uv, uoff = _unique_per_doc(*_shingle_hashes_flat(th, toff, shingle_n))
+        return pa.table({"doc_id": t[id_col], "shingles": _bin_from_u64(uv, uoff)})
+
+    def set_band_keys(t: pa.Table) -> np.ndarray:
+        return band_keys(minhash_signatures_flat(*_u64_from_bin(t["shingles"]), a, b), 32)
+
+    def keep(fu: pa.ChunkedArray, fv: pa.ChunkedArray) -> np.ndarray:
+        n = len(fu)
+        vu, ou = _u64_from_bin(fu)
+        vv, ov = _u64_from_bin(fv)
         lu, lv = np.diff(ou), np.diff(ov)
         vals = np.concatenate([vu, vv])
         rows = np.concatenate(
@@ -610,12 +583,10 @@ def ngram_jaccard_dedup(
         union = lu + lv - inter
         with np.errstate(invalid="ignore", divide="ignore"):
             jac = np.where(union > 0, inter / np.maximum(union, 1), 0.0)
-        keep = (lu > 0) & (lv > 0) & (jac >= threshold)
-        return t.select(["u", "v"]).filter(pa.array(keep))
+        return (lu > 0) & (lv > 0) & (jac >= threshold)
 
-    verified = _verify_pairs_by_join(cand, feats.select_columns(["doc_id", "shingles"]),
-                                     "shingles", verify)
-    return _finalize_components(verified)
+    feats = ds.map_batches(shingle_sets, batch_format="pyarrow")
+    return _near_dup(feats, "shingles", 32, set_band_keys, keep)
 
 
 def simhash_dedup(
@@ -628,44 +599,25 @@ def simhash_dedup(
     pair within Hamming distance <= 3 collides in at least one band),
     Hamming verify IN the candidate bucket (the fingerprint is 8 bytes,
     cheap to carry with the band rows), closure -> (doc_id, canonical_id)."""
+    shifts = np.arange(4, dtype=np.uint64) * np.uint64(16)
 
     def fingerprints(t: pa.Table) -> pa.Table:
-        th, toff = _token_hashes_flat(t[text_col])
+        th, toff = split_ws_hashed(t[text_col], lower=True)
         fps = simhash_flat(th, toff)
-        return pa.table(
-            {
-                "doc_id": t[id_col],
-                "fingerprint": pa.array(fps, type=pa.uint64()),
-            }
-        )
+        return pa.table({"doc_id": t[id_col], "fingerprint": pa.array(fps, type=pa.uint64())})
 
-    def explode(t: pa.Table) -> pa.Table:
-        n = t.num_rows
-        fps = np.asarray(t["fingerprint"].to_pandas(), dtype=np.uint64)
-        ids = t["doc_id"].take(pa.array(np.tile(np.arange(n), 4)))
-        bands = np.repeat(np.arange(4, dtype=np.int32), n)
-        shifts = np.repeat(np.arange(4, dtype=np.uint64) * np.uint64(16), n)
-        keys = (np.tile(fps, 4) >> shifts) & np.uint64(0xFFFF)
-        return pa.table(
-            {
-                "doc_id": ids,
-                "band": pa.array(bands, type=pa.int32()),
-                "bucket": pa.array(keys, type=pa.uint64()),
-                "fingerprint": pa.array(np.tile(fps, 4), type=pa.uint64()),
-            }
-        )
+    def fp_band_keys(t: pa.Table) -> np.ndarray:
+        fps = t["fingerprint"].to_numpy()
+        return (fps[:, None] >> shifts[None, :]) & np.uint64(0xFFFF)
 
-    fp_ds = ds.map_batches(fingerprints, batch_format="pyarrow")
-    band_rows = fp_ds.map_batches(explode, batch_format="pyarrow")
-
-    def verify(pairs: pd.DataFrame) -> pd.DataFrame:
-        fu = pairs["feat_u"].to_numpy().astype(np.uint64)
-        fv = pairs["feat_v"].to_numpy().astype(np.uint64)
-        keep = hamming_distance64(fu, fv) <= max_hamming
-        return pairs.loc[keep, ["u", "v"]]
-
-    verified = _candidate_pairs_verified(band_rows, "fingerprint", verify)
-    return _finalize_components(verified)
+    return _near_dup(
+        ds.map_batches(fingerprints, batch_format="pyarrow"),
+        "fingerprint",
+        4,
+        fp_band_keys,
+        lambda fu, fv: hamming_distance64(fu, fv) <= max_hamming,
+        in_bucket=True,
+    )
 
 
 def embedding_cosine_dedup(
@@ -680,15 +632,15 @@ def embedding_cosine_dedup(
     """Near-dup by embedding cosine: random-hyperplane LSH -> candidate
     pairs -> exact cosine verify via distributed feature joins -> closure.
 
-    Recall math (the r2 defect this replaces): a single hyperplane
-    agrees on a pair at angle θ with p = 1 - θ/π; a band of b planes
-    collides with p^b; B bands miss with (1-p^b)^B. The old 2-band x
-    8-plane layout missed a genuine θ≈18° (cos 0.95) near-dup with
-    probability ≈ 0.33. At the 16-band x 12-plane default, p(0.95) =
-    0.8976 -> band collision 0.2733 -> miss (1-0.2733)^16 ≈ 0.006
-    (recall ≈ 0.994 AT the default threshold, higher above it), while a
-    random pair (p = 0.5) collides per band with 2^-12 — bucket space
-    stays 4096 per band so accidental candidates stay rare.
+    Recall math: a single hyperplane agrees on a pair at angle θ with
+    p = 1 - θ/π; a band of b planes collides with p^b; B bands miss with
+    (1-p^b)^B. A 2-band x 8-plane layout would miss a genuine θ≈18°
+    (cos 0.95) near-dup with probability ≈ 0.33. At the 16-band x
+    12-plane default, p(0.95) = 0.8976 -> band collision 0.2733 -> miss
+    (1-0.2733)^16 ≈ 0.006 (recall ≈ 0.994 AT the default threshold,
+    higher above it), while a random pair (p = 0.5) collides per band
+    with 2^-12 — bucket space stays 4096 per band so accidental
+    candidates stay rare.
 
     The vector payload does NOT replicate into the 16 band rows: band
     rows carry only (doc_id, band, bucket); after globally-distinct
@@ -698,65 +650,34 @@ def embedding_cosine_dedup(
     total_planes = n_bands * planes_per_band
 
     def feats_fn(t: pa.Table) -> pa.Table:
-        n = t.num_rows
-        if n == 0:
-            return pa.table({"doc_id": pa.array([], type=t[id_col].type),
-                             "vec": pa.array([], type=pa.large_binary())})
         vecs = np.ascontiguousarray(_as_matrix(t[vec_col]))
-        d = vecs.shape[1]
-        return pa.table(
-            {
-                "doc_id": t[id_col],
-                "vec": _bin_from_u64(
-                    vecs.reshape(-1).view(np.uint64),
-                    np.arange(0, (n + 1) * d, d, dtype=np.int64),
-                ),
-            }
-        )
+        n, d = vecs.shape
+        offsets = np.arange(n + 1, dtype=np.int64) * d
+        return pa.table({"doc_id": t[id_col],
+                         "vec": _bin_from_u64(vecs.reshape(-1).view(np.uint64), offsets)})
 
-    def band_fn(t: pa.Table) -> pa.Table:
-        # consumes the materialized feats stage (vectors decode from the
-        # binary blob), so the input dataset's upstream lineage executes
+    def vecs_of(col: pa.ChunkedArray) -> np.ndarray:
+        flat, _ = _u64_from_bin(col)
+        return flat.view(np.float64).reshape(len(col), -1)
+
+    def plane_band_keys(t: pa.Table) -> np.ndarray:
+        # bands come from the materialized feature stage (vectors decode
+        # from the binary blob), so the input's upstream lineage executes
         # exactly once — deriving bands from `ds` would re-run it whole
-        n = t.num_rows
-        if n == 0:
-            return pa.table({"doc_id": pa.array([], type=t["doc_id"].type),
-                             "band": pa.array([], type=pa.int32()),
-                             "bucket": pa.array([], type=pa.uint64())})
-        flat, _ = _u64_from_bin(t["vec"])
-        vecs = flat.view(np.float64).reshape(n, -1)
-        rng = np.random.default_rng(seed)
-        planes = rng.normal(size=(vecs.shape[1], total_planes))
-        bits = ((vecs @ planes) > 0).reshape(n, n_bands, planes_per_band)
+        vecs = vecs_of(t["vec"])
+        planes = np.random.default_rng(seed).normal(size=(vecs.shape[1], total_planes))
+        bits = ((vecs @ planes) > 0).reshape(len(vecs), n_bands, planes_per_band)
         weights = (np.uint64(1) << np.arange(planes_per_band, dtype=np.uint64))
-        keys = (bits.astype(np.uint64) * weights[None, None, :]).sum(axis=2)
-        return pa.table(
-            {
-                "doc_id": t["doc_id"].take(pa.array(np.repeat(np.arange(n), n_bands))),
-                "band": pa.array(np.tile(np.arange(n_bands, dtype=np.int32), n)),
-                "bucket": pa.array(keys.reshape(-1), type=pa.uint64()),
-            }
-        )
+        return (bits.astype(np.uint64) * weights[None, None, :]).sum(axis=2)
 
-    feats = ds.map_batches(feats_fn, batch_format="pyarrow").materialize()
-    band_rows = feats.map_batches(band_fn, batch_format="pyarrow")
-    cand = _candidate_pairs(band_rows, max_bucket=500)
-
-    def verify(t: pa.Table) -> pa.Table:
-        n = t.num_rows
-        if n == 0:
-            return _empty_edges(t["u"].type)
-        vu, ou = _u64_from_bin(t["vec_u"])
-        vv, _ = _u64_from_bin(t["vec_v"])
-        a = vu.view(np.float64).reshape(n, -1)
-        b = vv.view(np.float64).reshape(n, -1)
+    def keep(fu: pa.ChunkedArray, fv: pa.ChunkedArray) -> np.ndarray:
+        a, b = vecs_of(fu), vecs_of(fv)
         denom = np.linalg.norm(a, axis=1) * np.linalg.norm(b, axis=1)
         cos = np.where(denom > 0, np.einsum("ij,ij->i", a, b) / np.maximum(denom, 1e-300), 0.0)
-        return t.select(["u", "v"]).filter(pa.array(cos >= threshold))
+        return cos >= threshold
 
-    verified = _verify_pairs_by_join(cand, feats, "vec", verify)
-    return _finalize_components(verified)
-
+    feats = ds.map_batches(feats_fn, batch_format="pyarrow")
+    return _near_dup(feats, "vec", n_bands, plane_band_keys, keep, max_bucket=500)
 
 
 # --------------------------------------------------------------------------

@@ -240,6 +240,63 @@ def test_dedup_no_driver_dataset_materialization(ray_session):
         assert out.count() >= 2  # the planted duplicates were found
 
 
+_NEAR_DUP_REJECT = {
+    "minhash_lsh_dedup": {"threshold": 0.999},
+    "ngram_jaccard_dedup": {"threshold": 0.999},
+    "simhash_dedup": {"max_hamming": 0},
+    "embedding_cosine_dedup": {"threshold": 0.999},
+}
+
+
+def _empty_outcome_input(op: str, case: str) -> pd.DataFrame:
+    """0 docs, two unrelated docs, or one near pair: 1 of 80 words
+    changed (Hamming distance 1 for simhash, colliding in 3 of its 4
+    bands), or two vectors at cosine 0.99."""
+    rng = np.random.default_rng(0)
+    if op == "embedding_cosine_dedup":
+        a, r, other = rng.normal(size=(3, 16))
+        a /= np.linalg.norm(a)
+        r -= (r @ a) * a
+        near = 0.99 * a + np.sqrt(1 - 0.99**2) * r / np.linalg.norm(r)
+        rows = {"empty": [], "unrelated": [a, other], "rejected": [a, near]}[case]
+        return pd.DataFrame({"vec_id": pd.Series(range(len(rows)), dtype=np.int64),
+                             "embedding": pd.Series([v.tolist() for v in rows], dtype=object)})
+    words = [f"w{i}" for i in rng.integers(0, 5000, 80)]
+    near = list(words)
+    near[40] = "changed"
+    other = [f"w{i}" for i in rng.integers(0, 5000, 80)]
+    rows = {"empty": [], "unrelated": [words, other], "rejected": [words, near]}[case]
+    return pd.DataFrame({"doc_id": pd.Series(range(len(rows)), dtype=np.int64),
+                         "text": pd.Series([" ".join(w) for w in rows], dtype=object)})
+
+
+@pytest.mark.parametrize("case", ["empty", "unrelated", "rejected"])
+@pytest.mark.parametrize("op", sorted(_NEAR_DUP_REJECT))
+def test_near_dup_empty_outcomes_are_typed(ray_session, monkeypatch, op, case):
+    """No docs, no candidate pair, or candidates that all fail verify:
+    every near-dup operator returns 0 rows with exactly its output
+    columns — no join over column-less blocks, no schema-less result."""
+    import ray.data as rd
+
+    from hgcn_name_disambiguation_ray.stages import dedup
+
+    n_cand = []
+    orig = dedup._candidate_pairs
+
+    def counting(*args, **kwargs):
+        cand = orig(*args, **kwargs).materialize()
+        n_cand.append(cand.count())
+        return cand
+
+    monkeypatch.setattr(dedup, "_candidate_pairs", counting)
+    ds = rd.from_pandas(_empty_outcome_input(op, case))
+    out = getattr(dedup, op)(ds, **_NEAR_DUP_REJECT[op]).materialize()
+    assert out.count() == 0
+    assert set(out.schema().names) == {"doc_id", "canonical_id"}
+    if case == "rejected" and n_cand:  # the join path met real candidates
+        assert n_cand == [1]
+
+
 def test_exact_dedup_corpus_keeps_min_id_rows(corpus_ds):
     from hgcn_name_disambiguation_ray.stages.dedup import exact_dedup_corpus
 
@@ -282,22 +339,28 @@ def test_segmented_pair_indices_matches_naive():
 
 def test_pairs_in_bucket_groups_segmented_equivalence():
     """End-to-end _pairs_in_bucket_groups vs a naive per-group loop on a
-    random collision table (mixed singleton/small/oversized buckets)."""
-    from hgcn_name_disambiguation_ray.stages.dedup import _pairs_in_bucket_groups
+    random collision table (mixed singleton/small/oversized buckets),
+    bare and with a carried per-doc `feat` column filtered by `keep`."""
+    import pyarrow as pa
+
+    from hgcn_name_disambiguation_ray.stages.dedup import _band_rows, _pairs_in_bucket_groups
 
     rng = np.random.default_rng(23)
     n = 4000
+    doc_id = rng.integers(0, 2500, n)
     df = pd.DataFrame(
         {
             "band": rng.integers(0, 4, n).astype(np.int32),
             "bucket": rng.integers(0, 300, n).astype(np.uint64),
-            "doc_id": rng.integers(0, 2500, n),
+            "doc_id": doc_id,
+            "feat": (doc_id * 2654435761 % 7).astype(np.uint64),
         }
     )
-    got = (
-        _pairs_in_bucket_groups(df, max_bucket=8)
-        .drop_duplicates(["u", "v"]).sort_values(["u", "v"]).reset_index(drop=True)
-    )
+    feat_of = dict(zip(df["doc_id"], df["feat"]))
+
+    def keep(fu, fv):
+        return (fu + fv) % np.uint64(3) != 0
+
     d = df.drop_duplicates(["band", "bucket", "doc_id"])
     d = d[d.duplicated(["band", "bucket"], keep=False)]
     want_u, want_v = [], []
@@ -310,11 +373,28 @@ def test_pairs_in_bucket_groups_segmented_equivalence():
             a, b = np.triu_indices(len(ids), k=1)
             want_u.append(ids[a])
             want_v.append(ids[b])
-    want = (
-        pd.DataFrame({"u": np.concatenate(want_u), "v": np.concatenate(want_v)})
-        .drop_duplicates(["u", "v"]).sort_values(["u", "v"]).reset_index(drop=True)
+    naive = pd.DataFrame({"u": np.concatenate(want_u), "v": np.concatenate(want_v)})
+    n_pairs = []
+    for kp in (None, keep):
+        got = (
+            _pairs_in_bucket_groups(df, max_bucket=8, keep=kp)
+            .drop_duplicates(["u", "v"]).sort_values(["u", "v"]).reset_index(drop=True)
+        )
+        want = naive
+        if kp is not None:
+            fu = np.array([feat_of[u] for u in naive["u"]], dtype=np.uint64)
+            fv = np.array([feat_of[v] for v in naive["v"]], dtype=np.uint64)
+            want = naive[kp(fu, fv)]
+        want = want.drop_duplicates(["u", "v"]).sort_values(["u", "v"]).reset_index(drop=True)
+        pd.testing.assert_frame_equal(got.astype(np.int64), want.astype(np.int64))
+        n_pairs.append(len(got))
+    assert 0 < n_pairs[1] < n_pairs[0]  # `keep` rejects some pairs, not all
+
+    # a 0-row batch still yields the typed band table
+    empty = _band_rows(pa.array([], pa.int64()), np.zeros((0, 4), np.uint64))
+    assert empty.schema == pa.schema(
+        [("doc_id", pa.int64()), ("band", pa.int32()), ("bucket", pa.uint64())]
     )
-    pd.testing.assert_frame_equal(got.astype(np.int64), want.astype(np.int64))
 
 
 def test_segment_dedup_keeps_first_occurrence_and_reassembles(ray_session):

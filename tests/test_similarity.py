@@ -155,8 +155,9 @@ def test_kmeans_query_hard_signal_all_match():
     distributed assignment matches the independently recomputed
     single-process reference Lloyd (match_ref == 1 on all rows)."""
     import sys
+    from pathlib import Path
 
-    sys.path.insert(0, "/root/repo")
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
     import __ray_entry__ as entrymod
 
     out = entrymod.queries()["kmeans_clusters"]("/root/testdata/sf0.001").to_pandas()

@@ -209,6 +209,11 @@ def test_dechunk_adversarial_inputs_never_hang():
     # a plain body starting "0\r\n" must NOT silently become empty
     with pytest.raises(ValueError):
         _dechunk(b"0\r\nplain text that is not chunked")
+    # RFC 7230 trailer fields after the last chunk decode, they are not
+    # framing errors (which would fall back to the raw framed body)
+    assert _dechunk(b"5\r\nhello\r\n0\r\nExpires: never\r\nX-Sum: a1\r\n\r\n") == b"hello"
+    with pytest.raises(ValueError):
+        _dechunk(b"5\r\nhello\r\n0\r\nExpires: never\r\n")  # no final CRLF
     # de-chunked-but-still-compressed capture: content decode still runs
     body = b"<html>still compressed</html>"
     co = zlib.compressobj(6, zlib.DEFLATED, 31)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import sys
 import time
+from pathlib import Path
 
 import duckdb
 import pandas as pd
@@ -65,7 +66,8 @@ def main():
 
     DataContext.get_current().enable_progress_bars = False
 
-    sys.path.insert(0, "/root/repo")
+    # the tree this script lives in, not whichever checkout is installed
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
     import __ray_entry__ as entrymod
 
     con = duckdb.connect()
