@@ -99,9 +99,9 @@ class LinkageConfig:
 
     # ---- execution ----
     extract_batch_size: int = 1024
-    # autoscaling actor pool bounds for the BlockScorer stage; the upper
-    # bound is a ceiling, the streaming executor only scales to what the
-    # cluster's CPUs allow (1 CPU per scorer actor)
+    # unread by the engine (the scorer runs as tasks, not a pool); kept as
+    # repr(cfg) feeds every checkpoint fingerprint (mentions-v1, clusters-v1)
+    # and the benchmark's traced pass still reads it
     scorer_concurrency: int | tuple[int, int] = (1, 64)
     seed: int = 20240816          # global determinism seed; per-block seeds derive
                                   # from blake2b(block_key, salt, seed)

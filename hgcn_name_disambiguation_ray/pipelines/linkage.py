@@ -9,7 +9,7 @@
     -> map_batches(AssignSalt(salt_map))      # hot-key skew split; a fused
                                               #   task, the map rides in the closure
     -> groupby(block_key, salt)               # THE shuffle
-       .map_groups(BlockScorer)               # the only actor pool, per block
+       .map_groups(score_block)               # a task; one BlockScorer per worker
     -> [closure over hub + cross-salt edges]  # only when salting occurred
     -> clusters(block_key, salt, mention_id, cluster_id)
 
@@ -24,6 +24,8 @@ pass does not recompute the extract.
 """
 
 from __future__ import annotations
+
+import os
 
 import pandas as pd
 import pyarrow as pa
@@ -42,6 +44,7 @@ from hgcn_name_disambiguation_ray.stages.blocking import (
     make_salt_map,
 )
 from hgcn_name_disambiguation_ray.stages.extract import extract_batch
+from hgcn_name_disambiguation_ray.stages.groupagg import worker_cached
 from hgcn_name_disambiguation_ray.stages.scorer import BlockScorer
 
 MENTION_COLUMNS = [
@@ -117,13 +120,12 @@ def extract_mentions(pages: Dataset, cfg: LinkageConfig | None = None) -> Datase
 
 def _w2v_blob_ref(cfg: LinkageConfig):
     """Broadcast the word2vec model bytes ONCE via ray.put when the path
-    is driver-readable. BlockScorer actors on OTHER NODES cannot open a
-    driver-local file (run_linkage_artifact trains to /tmp on the
-    driver), so the model ships through the object store; a path the
-    driver cannot see (actor-visible shared FS) falls back to per-actor
-    open()."""
-    import os
-
+    is driver-readable. Workers on OTHER NODES cannot open a driver-local
+    file (run_linkage_artifact trains to /tmp on the driver), so the
+    model ships through the object store, fetched once per worker with
+    its cached BlockScorer; a path the driver cannot see (worker-visible
+    shared FS) falls back to a per-worker open(), redone when the file's
+    mtime or size changes."""
     if not cfg.word2vec_path or not os.path.exists(cfg.word2vec_path):
         return None
     with open(cfg.word2vec_path, "rb") as f:
@@ -211,7 +213,7 @@ def run_linkage(
             f"{checkpoint_dir}/clusters",
             fingerprint("clusters-v1", lineage_token, cfg, sorted(salt_map.items())),
         )
-    return _score_and_merge(mentions, cfg, salt_map, scorer_ckpt)
+    return _score_and_merge(mentions, cfg, salt_map, _w2v_blob_ref(cfg), scorer_ckpt)
 
 
 def _prepare_mentions(
@@ -258,33 +260,33 @@ def _score_and_merge(
     mentions: Dataset,
     cfg: LinkageConfig,
     salt_map: dict[str, int],
+    w2v_ref,
     scorer_ckpt: tuple[str, str] | None = None,
 ) -> Dataset:
     """The linkage tail over a pinned or checkpointed mention set: salt ->
-    repartition -> BlockScorer -> optional scorer checkpoint (stage dir,
+    repartition -> BlockScorer task -> optional scorer checkpoint (stage dir,
     lineage) -> cross-salt merge when any key was salted. Output columns
-    are CLUSTERS_SCHEMA's."""
-    if ray.cluster_resources().get("CPU", 0) < 2:
-        # the BlockScorer pool takes a CPU for its actor up front; with one
-        # CPU in the cluster the upstream repartition/sort tasks never get
-        # scheduled and the job hangs instead of failing
-        raise RuntimeError(
-            "run_linkage needs at least 2 Ray CPUs: the BlockScorer actor "
-            "pool holds the only CPU that the upstream repartition and sort "
-            "tasks need, so the job would hang"
-        )
+    are CLUSTERS_SCHEMA's. `w2v_ref` is the run's `_w2v_blob_ref(cfg)`,
+    put once per run so that every shard keys the same cached scorer."""
     # an AssignSalt INSTANCE runs as a plain task fused with its neighbours
     # (the salt map holds hot keys only and travels in the closure)
     salted = mentions.map_batches(AssignSalt(salt_map), batch_format="pyarrow")
     salted = salted.repartition(_scorer_parts(mentions.count(), cfg))
-    w2v_ref = _w2v_blob_ref(cfg)
+    # a task, not an actor pool: each worker builds the scorer (and fetches
+    # the model) once, and keeps it across tasks and run_linkage_sharded's shards
+    emit_signatures = bool(salt_map)
+    key = (repr(cfg), emit_signatures, w2v_ref.hex() if w2v_ref else None)
+
+    def score_block(group: pa.Table) -> pa.Table:
+        # a model only the workers can read is keyed by its stat, so one
+        # rewritten in place is reloaded, as a driver-read one is
+        st = os.stat(cfg.word2vec_path) if cfg.word2vec_path and w2v_ref is None else None
+        k = (*key, st and (st.st_mtime_ns, st.st_size))
+        return worker_cached(k, lambda: BlockScorer(cfg, False, emit_signatures, w2v_ref))(group)
 
     def score() -> Dataset:
         return salted.groupby(["block_key", "salt"]).map_groups(
-            BlockScorer,
-            fn_constructor_args=(cfg, False, bool(salt_map), w2v_ref),
-            batch_format="pyarrow",
-            concurrency=cfg.scorer_concurrency,
+            score_block, batch_format="pyarrow"
         )
 
     if scorer_ckpt:
@@ -328,8 +330,6 @@ def run_linkage_artifact(
     vectors trained on the previous one — the stale-cache failure the
     IVF index is also keyed against.
     """
-    import os
-
     from hgcn_name_disambiguation_ray.state.wordvec import train_word_vectors
 
     cfg = cfg or LinkageConfig()
@@ -372,13 +372,13 @@ def run_linkage_sharded(
     processes (tests use it to simulate a crash). Returns the full
     clusters Dataset, or None if shards remain unfinished."""
     import json
-    import os
 
     from hgcn_name_disambiguation_ray.functions.hashing import stable_hash64_array
 
     cfg = cfg or LinkageConfig()
     mentions = _prepare_mentions(pages, cfg, checkpoint_dir, lineage_token)
     salt_map = _salt_map(mentions, cfg)
+    w2v_ref = _w2v_blob_ref(cfg)
 
     def shard_of(t: pa.Table) -> pa.Table:
         import numpy as np
@@ -409,7 +409,7 @@ def run_linkage_sharded(
         # checkpoint scan, and the tail's count() and scorer would otherwise
         # each re-execute that scan end to end
         shard_ds = sharded.filter(expr=f"__shard == {s}").drop_columns(["__shard"])
-        clusters = _score_and_merge(shard_ds.materialize(), cfg, salt_map)
+        clusters = _score_and_merge(shard_ds.materialize(), cfg, salt_map, w2v_ref)
         checkpoint_stage(
             lambda: clusters,
             os.path.join(checkpoint_dir, f"shard={s}"),
@@ -514,8 +514,6 @@ def lookup_clusters(clusters_dir: str, block_key: str) -> pd.DataFrame:
     hashes to — the same prefix `write_clusters` assigned — so a lookup
     against a trillion-row output touches one partition, not the corpus.
     Returns (block_key, salt, mention_id, cluster_id) sorted for display."""
-    import os
-
     import numpy as np
     import pyarrow.dataset as pads
 

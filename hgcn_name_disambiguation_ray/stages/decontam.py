@@ -17,40 +17,7 @@ from ray.data import Dataset
 
 from hgcn_name_disambiguation_ray.functions.text import split_ws_hashed
 from hgcn_name_disambiguation_ray.stages.dedup import _shingle_hashes_flat
-
-class _ContaminationScan:
-    """Actor-pool stage: count benchmark-overlapping n-gram shingles per
-    doc. The benchmark shingle set is broadcast ONCE via ray.put and
-    resolved here in __init__ (once per actor, zero-copy from the object
-    store) — never re-shipped per batch."""
-
-    def __init__(self, bench_ref, n: int, text_col: str, id_col: str):
-        import ray
-
-        self.bench = ray.get(bench_ref)  # sorted distinct uint64 hashes
-        self.n = n
-        self.text_col = text_col
-        self.id_col = id_col
-
-    def __call__(self, t: pa.Table) -> pa.Table:
-        th, off = split_ws_hashed(t[self.text_col], lower=True)
-        sh, sh_off = _shingle_hashes_flat(th, off, self.n)
-        hit = np.zeros(len(sh), dtype=bool)
-        if len(sh) and len(self.bench):
-            idx = np.searchsorted(self.bench, sh)
-            idx[idx == len(self.bench)] = len(self.bench) - 1
-            hit = self.bench[idx] == sh
-        cs = np.zeros(len(sh) + 1, dtype=np.int64)
-        np.cumsum(hit, out=cs[1:])
-        per_doc = cs[sh_off[1:]] - cs[sh_off[:-1]]
-        return pa.table(
-            {
-                self.id_col: t[self.id_col],
-                "overlap_ngrams": pa.array(per_doc, type=pa.int64()),
-                # int64 flag, not bool: repo convention for oracle-hashed flags
-                "contaminated": pa.array((per_doc > 0).astype(np.int64)),
-            }
-        )
+from hgcn_name_disambiguation_ray.stages.groupagg import worker_cached
 
 
 def benchmark_shingles(
@@ -101,9 +68,28 @@ def decontaminate(
     import ray
 
     bench_ref = ray.put(benchmark_shingles(benchmark, n, text_col))
-    return corpus.map_batches(
-        _ContaminationScan,
-        fn_constructor_args=(bench_ref, n, text_col, id_col),
-        batch_format="pyarrow",
-        concurrency=(1, 8),
-    )
+
+    def scan(t: pa.Table) -> pa.Table:
+        # sorted distinct uint64 hashes, copied out of the object store once
+        # per worker (a cached zero-copy view would pin it), never re-shipped
+        bench = worker_cached(("decontam", bench_ref.hex()), lambda: ray.get(bench_ref).copy())
+        th, off = split_ws_hashed(t[text_col], lower=True)
+        sh, sh_off = _shingle_hashes_flat(th, off, n)
+        hit = np.zeros(len(sh), dtype=bool)
+        if len(sh) and len(bench):
+            idx = np.searchsorted(bench, sh)
+            idx[idx == len(bench)] = len(bench) - 1
+            hit = bench[idx] == sh
+        cs = np.zeros(len(sh) + 1, dtype=np.int64)
+        np.cumsum(hit, out=cs[1:])
+        per_doc = cs[sh_off[1:]] - cs[sh_off[:-1]]
+        return pa.table(
+            {
+                id_col: t[id_col],
+                "overlap_ngrams": pa.array(per_doc, type=pa.int64()),
+                # int64 flag, not bool: repo convention for oracle-hashed flags
+                "contaminated": pa.array((per_doc > 0).astype(np.int64)),
+            }
+        )
+
+    return corpus.map_batches(scan, batch_format="pyarrow")

@@ -117,6 +117,30 @@ def hash_join(
     return left.join(right, join_type=join_type, num_partitions=num_partitions, on=tuple(on))
 
 
+_WORKER_CACHE: dict = {}
+_WORKER_CACHE_MAX = 4
+
+
+def worker_cached(key, build: Callable):
+    """Bounded per-process memo, so a plain task keeps actor-style state
+    (a broadcast table, a scorer) across the tasks a Ray worker runs:
+    `build()` runs on a key's first call in this process, and past
+    `_WORKER_CACHE_MAX` entries the oldest goes. An entry outlives its
+    dataset in an idle worker, so a worker's heap keeps at most
+    `_WORKER_CACHE_MAX` x the largest entry; a BlockScorer's part of that
+    is its model, or its embedder's token cache, capped at
+    `HashEmbedder.cache_max` tokens. `build` copies what it takes out of
+    the object store: a zero-copy `ray.get` view would pin the object
+    there for the entry's life, after the driver has dropped its ref.
+    Nothing else invalidates an entry: a key must change whenever its
+    value would (e.g. carry an ObjectRef's `hex()`)."""
+    if key not in _WORKER_CACHE:
+        while len(_WORKER_CACHE) >= _WORKER_CACHE_MAX:
+            del _WORKER_CACHE[next(iter(_WORKER_CACHE))]
+        _WORKER_CACHE[key] = build()
+    return _WORKER_CACHE[key]
+
+
 # right-side budget under which a join broadcasts instead of shuffling;
 # ~64 MiB in every worker's heap is cheap next to an all-to-all exchange
 BROADCAST_MAX_BYTES = 64 * 1024 * 1024
@@ -132,7 +156,8 @@ def auto_join(
 ) -> Dataset:
     """Size-probing join: materializes the right side, and when it fits
     `broadcast_max_bytes` ships it ONCE via ray.put and merges per batch
-    inside an actor pool (no shuffle of the big side, no per-partition
+    in a fused task that resolves the table once per worker
+    (`worker_cached`; no shuffle of the big side, no per-partition
     aggregator actors — measured ~6x cheaper than the partitioned join on
     a 150k x 15k input). Larger right sides fall back to the distributed
     hash join. Broadcast supports inner/left; other join types always
@@ -145,32 +170,28 @@ def auto_join(
         # pattern, not an unbounded driver pull
         ref = ray.put(right_m.to_pandas())
 
-        class BroadcastMerge:
-            def __init__(self, ref, on, how):
-                self.rdf = ray.get(ref)
-                self.on = on
-                self.how = how
-                # left-merge batches with unmatched rows NaN-fill integer
-                # right columns to float64 while all-matched batches keep
-                # int64 — a per-batch schema mismatch Arrow rejects. Cast
-                # the RIGHT frame's integer payload columns to pandas
-                # nullable Int64 once, so every merged batch agrees AND
-                # 64-bit values above 2^53 (hashes, wide ids) survive
-                # exactly — a float64 cast would silently round them.
-                # Casting the source frame (not merge output) also stays
-                # correct when a name collides and pandas suffixes it.
-                if how == "left":
-                    for c in self.rdf.columns:
-                        if c not in on and pd.api.types.is_integer_dtype(self.rdf[c]):
-                            self.rdf[c] = self.rdf[c].astype("Int64")
+        def build() -> pd.DataFrame:
+            rdf = ray.get(ref).copy()  # owns its buffers: pins nothing
+            # left-merge batches with unmatched rows NaN-fill integer
+            # right columns to float64 while all-matched batches keep
+            # int64 — a per-batch schema mismatch Arrow rejects. Cast
+            # the RIGHT frame's integer payload columns to pandas
+            # nullable Int64 once, so every merged batch agrees AND
+            # 64-bit values above 2^53 (hashes, wide ids) survive
+            # exactly — a float64 cast would silently round them.
+            # Casting the source frame (not merge output) also stays
+            # correct when a name collides and pandas suffixes it.
+            if how == "left":
+                for c in rdf.columns:
+                    if c not in on and pd.api.types.is_integer_dtype(rdf[c]):
+                        rdf[c] = rdf[c].astype("Int64")
+            return rdf
 
-            def __call__(self, df: pd.DataFrame) -> pd.DataFrame:
-                return df.merge(self.rdf, on=self.on, how=self.how)
+        def merge(df: pd.DataFrame) -> pd.DataFrame:
+            rdf = worker_cached(("broadcast_merge", ref.hex(), how), build)
+            return df.merge(rdf, on=on, how=how)
 
-        return left.map_batches(
-            BroadcastMerge, fn_constructor_args=(ref, on, how),
-            batch_format="pandas", concurrency=(1, 8),
-        )
+        return left.map_batches(merge, batch_format="pandas")
     return hash_join(left, right_m, on=on, how=how, num_partitions=num_partitions)
 
 

@@ -1,4 +1,4 @@
-"""BlockScorer: the stateful per-block scoring stage (actor pool).
+"""BlockScorer: the stateful per-block scoring stage.
 
 One call processes ONE candidate block (all mentions sharing a
 `(block_key, salt)`) entirely in memory — the Ray-Data reincarnation of
@@ -10,9 +10,9 @@ the reference's per-name inner loop (SURVEY.md §3; reference
   -> fused one-layer graph encoder + LINE training (C1-C4, numpy)
   -> graph-constrained HAC with modularity auto-k (C5/C6)
 
-Used as `groupby(["block_key","salt"]).map_groups(BlockScorer(...))` —
-the callable-class form makes Ray run it in an actor pool, so the
-embedder cache and numpy buffers are reused across blocks (ST1/ST2).
+`pipelines/linkage` calls it from a plain `map_groups` task that keeps
+one instance per Ray worker (`groupagg.worker_cached`), so the model and
+the embedder cache are reused across blocks and tasks (ST1/ST2).
 
 Determinism contract (replaces the reference's unseeded randomness,
 §2.10): mentions are sorted by mention_id before indexing, and the rng

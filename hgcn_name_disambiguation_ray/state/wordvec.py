@@ -37,7 +37,7 @@ import pyarrow as pa
 import ray
 from ray.data import Dataset
 
-from hgcn_name_disambiguation_ray.stages.groupagg import bucketed_sum
+from hgcn_name_disambiguation_ray.stages.groupagg import bucketed_sum, worker_cached
 
 
 def _token_lists(t: pa.Table, tokens_col: str) -> tuple[np.ndarray, np.ndarray]:
@@ -150,35 +150,29 @@ def cooccurrence_triples(
     capped vocabulary. a < b; the driver frame is bounded by V^2 but in
     practice by the corpus's realized pair set."""
 
-    class PairCount:
-        def __init__(self, ref):
-            self.widx = ray.get(ref) if isinstance(ref, ray.ObjectRef) else ref
+    def pair_count(t: pa.Table) -> pa.Table:
+        widx = worker_cached(("pair_count", widx_ref.hex()), lambda: ray.get(widx_ref))
+        empty = pa.table({"a": pa.array([], type=pa.int32()),
+                          "b": pa.array([], type=pa.int32()),
+                          "n": pa.array([], type=pa.int64())})
+        flat, offsets = _token_lists(t, tokens_col)
+        if len(flat) == 0:
+            return empty
+        doc = np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
+        ids = pd.Series(flat).map(widx)
+        df = pd.DataFrame({"doc": doc, "id": ids}).dropna()
+        df["id"] = df["id"].astype(np.int32)
+        df = df.drop_duplicates()
+        # vectorized per-doc pair expansion (self-merge), pre-counted
+        m = df.merge(df, on="doc")
+        m = m[m["id_x"] < m["id_y"]]
+        if m.empty:
+            return empty
+        cnt = m.groupby(["id_x", "id_y"], as_index=False, sort=False).size()
+        cnt.columns = ["a", "b", "n"]
+        return pa.Table.from_pandas(cnt, preserve_index=False)
 
-        def __call__(self, t: pa.Table) -> pa.Table:
-            empty = pa.table({"a": pa.array([], type=pa.int32()),
-                              "b": pa.array([], type=pa.int32()),
-                              "n": pa.array([], type=pa.int64())})
-            flat, offsets = _token_lists(t, tokens_col)
-            if len(flat) == 0:
-                return empty
-            doc = np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
-            ids = pd.Series(flat).map(self.widx)
-            df = pd.DataFrame({"doc": doc, "id": ids}).dropna()
-            df["id"] = df["id"].astype(np.int32)
-            df = df.drop_duplicates()
-            # vectorized per-doc pair expansion (self-merge), pre-counted
-            m = df.merge(df, on="doc")
-            m = m[m["id_x"] < m["id_y"]]
-            if m.empty:
-                return empty
-            cnt = m.groupby(["id_x", "id_y"], as_index=False, sort=False).size()
-            cnt.columns = ["a", "b", "n"]
-            return pa.Table.from_pandas(cnt, preserve_index=False)
-
-    partials = ds.map_batches(
-        PairCount, fn_constructor_args=(widx_ref,), batch_format="pyarrow",
-        concurrency=(1, 8),
-    )
+    partials = ds.map_batches(pair_count, batch_format="pyarrow")
     return bucketed_sum(partials, ["a", "b"], ["n"], n_buckets=n_buckets).to_pandas()
 
 

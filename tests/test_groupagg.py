@@ -319,3 +319,45 @@ def test_range_join_rejects_overlap_and_survives_empty_blocks():
                      by=["k"], start="start", end="end", at="at",
                      granularity=5).to_pandas()
     assert len(out) == 1 and int(out["val"].iloc[0]) == 7
+
+
+def test_worker_cached_builds_once_and_evicts_oldest(monkeypatch):
+    """No Ray session: build runs once per key, and past _WORKER_CACHE_MAX
+    entries the oldest key is dropped (so it is built again on its next
+    use)."""
+    from hgcn_name_disambiguation_ray.stages import groupagg
+
+    monkeypatch.setattr(groupagg, "_WORKER_CACHE", {})
+    monkeypatch.setattr(groupagg, "_WORKER_CACHE_MAX", 2)
+    builds: list[str] = []
+
+    def get(key: str):
+        return groupagg.worker_cached(key, lambda: builds.append(key) or f"v-{key}")
+
+    assert [get("a"), get("a"), get("b"), get("a")] == ["v-a", "v-a", "v-b", "v-a"]
+    assert builds == ["a", "b"]
+    assert get("c") == "v-c"  # third key: "a", the oldest, goes
+    assert list(groupagg._WORKER_CACHE) == ["b", "c"]
+    get("b")
+    assert builds == ["a", "b", "c"]
+    get("a")
+    assert builds == ["a", "b", "c", "a"]
+    assert list(groupagg._WORKER_CACHE) == ["c", "a"]
+
+
+def test_auto_join_broadcast_runs_as_tasks(ray_session, map_calls):
+    """The broadcast merge is a plain fused task: no callable class,
+    constructor arguments or pool size reach map_batches."""
+    import ray.data as rd
+
+    from hgcn_name_disambiguation_ray.stages.groupagg import auto_join
+
+    left = rd.from_pandas(pd.DataFrame({"k": list(range(40))}))
+    right = rd.from_pandas(pd.DataFrame({"k": [0, 1], "v": [7, 5]}))
+    assert auto_join(left, right, on=["k"], how="inner").count() == 2
+    assert auto_join(left, right, on=["k"], how="left").count() == 40
+    assert map_calls
+    for fn, kwargs in map_calls:
+        assert not isinstance(fn, type), fn
+        assert kwargs.get("fn_constructor_args") is None, fn
+        assert kwargs.get("concurrency") is None, fn

@@ -224,13 +224,35 @@ def test_sharded_checkpoint_kill_resume(tmp_path, salt_cap):
     )
 
 
+def _score_blocks(map_calls) -> list:
+    return [fn for fn, _ in map_calls if getattr(fn, "__name__", "") == "score_block"]
+
+
+def _count_scorer_builds(monkeypatch):
+    """Replay shipped score_block functions in this process: a fresh
+    per-process cache, and a BlockScorer that records each build."""
+    from hgcn_name_disambiguation_ray.pipelines import linkage
+    from hgcn_name_disambiguation_ray.stages import groupagg
+
+    builds: list = []
+    real = linkage.BlockScorer
+    monkeypatch.setattr(groupagg, "_WORKER_CACHE", {})
+    monkeypatch.setattr(linkage, "BlockScorer", lambda *a: builds.append(a) or real(*a))
+    return builds
+
+
 @pytest.mark.usefixtures("ray_session")
-def test_sharded_artifact_regime_matches_unsharded(tmp_path):
+def test_sharded_artifact_regime_matches_unsharded(tmp_path, map_calls, monkeypatch):
     """cross_merge="title" through run_linkage_sharded: the 2-hop
     extension runs globally BEFORE sharding (the collaborator graph must
     not be cut at shard boundaries), and the sharded output equals the
-    unsharded artifact run."""
+    unsharded artifact run. The model is put once per run, so every
+    shard's scorer task carries the same cache key and a worker builds
+    (and parses the model for) one BlockScorer across all shards."""
     import dataclasses
+    import inspect
+
+    import pyarrow as pa
 
     import pandas as pd
     import ray.data as rd
@@ -255,10 +277,53 @@ def test_sharded_artifact_regime_matches_unsharded(tmp_path):
 
     out = run_linkage_sharded(pages, cfg, str(tmp_path / "ckpt"),
                               lineage_token="t", n_shards=3)
+    shard_fns = _score_blocks(map_calls)
     got = out.to_pandas().sort_values("mention_id").reset_index(drop=True)
     want = run_linkage(pages, cfg).to_pandas().sort_values("mention_id").reset_index(drop=True)
     # cluster ids are block-local and deterministic either way
     pd.testing.assert_frame_equal(got, want)
+
+    assert len(shard_fns) == 3
+    keys = {inspect.getclosurevars(fn).nonlocals["key"] for fn in shard_fns}
+    assert len(keys) == 1 and next(iter(keys))[2] is not None, keys
+    builds = _count_scorer_builds(monkeypatch)
+    for fn in shard_fns:
+        fn(pa.table({"block_key": pa.array([], pa.string())}))
+    assert len(builds) == 1
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_worker_read_model_reloads_when_rewritten(tmp_path, small_fixture, map_calls,
+                                                  monkeypatch):
+    """A model path with no driver-side ref (one only the workers can
+    read) keys the cached scorer by the file's mtime and size: the scorer
+    is reused while the file stands and rebuilt once it is rewritten."""
+    import dataclasses
+
+    import pyarrow as pa
+    import ray.data as rd
+
+    from hgcn_name_disambiguation_ray.config import LinkageConfig
+    from hgcn_name_disambiguation_ray.pipelines.linkage import (
+        _score_and_merge,
+        extract_mentions,
+    )
+
+    model = tmp_path / "w2v.txt"
+    model.write_text("2 4\nalpha 0.1 0.2 0.3 0.4\nbeta 0.4 0.3 0.2 0.1\n")
+    cfg = dataclasses.replace(LinkageConfig(), word2vec_path=str(model))
+    mentions = extract_mentions(rd.from_arrow(small_fixture["pages"]), cfg).materialize()
+    assert _score_and_merge(mentions, cfg, {}, None).count() == mentions.count()
+    (fn,) = _score_blocks(map_calls)
+
+    builds = _count_scorer_builds(monkeypatch)
+    empty = pa.table({"block_key": pa.array([], pa.string())})
+    fn(empty)
+    fn(empty)
+    assert len(builds) == 1
+    model.write_text("1 4\ngamma 0.5 0.5 0.5 0.5\n")
+    fn(empty)
+    assert len(builds) == 2
 
 
 def test_empty_checkpoint_single_execution(ray_session, tmp_path):
@@ -368,20 +433,72 @@ def test_clusters_json_summary_row_gate(ray_session):
     assert out["b"][0] == [f"m{i}" for i in range(5)]
 
 
-def test_linkage_tail_refuses_one_cpu(ray_session, monkeypatch):
-    """With one Ray CPU the BlockScorer pool would starve the upstream
-    shuffle tasks and hang: the tail shared by run_linkage and
-    run_linkage_sharded raises before planning anything."""
-    import ray
+def test_linkage_runs_without_actor_pools(ray_session, small_fixture, map_calls):
+    """The salted linkage (salt step, scorer, hot-cluster merge) plans no
+    callable class, constructor arguments or pool size anywhere: the
+    scorer is a plain task over a per-worker cached BlockScorer."""
     import ray.data as rd
 
     from hgcn_name_disambiguation_ray.config import LinkageConfig
-    from hgcn_name_disambiguation_ray.pipelines.linkage import (
-        MENTIONS_SCHEMA,
-        _score_and_merge,
-    )
+    from hgcn_name_disambiguation_ray.pipelines.linkage import run_linkage
 
-    mentions = rd.from_arrow(MENTIONS_SCHEMA.empty_table())
-    monkeypatch.setattr(ray, "cluster_resources", lambda: {"CPU": 1.0})
-    with pytest.raises(RuntimeError, match="at least 2 Ray CPUs"):
-        _score_and_merge(mentions, LinkageConfig(), {})
+    pages = rd.from_arrow(small_fixture["pages"])
+    out = run_linkage(pages, LinkageConfig(salt_cap=40)).to_pandas()
+    assert out["salt"].max() > 0
+    assert "score_block" in [getattr(fn, "__name__", "") for fn, _ in map_calls]
+    for fn, kwargs in map_calls:
+        assert not isinstance(fn, type), fn
+        assert kwargs.get("fn_constructor_args") is None, fn
+        assert kwargs.get("concurrency") is None, fn
+
+
+_ONE_CPU_RUN = """
+import json, sys
+import ray
+ray.init(address="local", num_cpus=1, include_dashboard=False,
+         logging_level="ERROR", object_store_memory=200 * 1024 * 1024)
+import ray.data as rd
+from ray.data import DataContext
+DataContext.get_current().enable_progress_bars = False
+from hgcn_name_disambiguation_ray.config import LinkageConfig
+from hgcn_name_disambiguation_ray.fixtures import FixtureSpec, generate_fixture
+from hgcn_name_disambiguation_ray.pipelines.linkage import run_linkage
+pages = rd.from_arrow(generate_fixture(FixtureSpec(**json.loads(sys.argv[1])))["pages"])
+out = {}
+for cap in (512, 40):
+    df = run_linkage(pages, LinkageConfig(salt_cap=cap)).to_pandas()
+    out[cap] = sorted(zip(df["mention_id"], df["cluster_id"]))
+ray.shutdown()
+print(json.dumps(out))
+"""
+
+
+def test_linkage_finishes_on_one_cpu(ray_session, small_fixture):
+    """With no actor pool the linkage runs on a single Ray CPU (an actor
+    pool there used to starve the upstream shuffle and hang) and gives
+    the same cluster ids as the 4-CPU session, salted and not. The run is
+    a subprocess under a timeout, so a hang fails instead of stalling."""
+    import json
+    import os
+    import subprocess
+    import sys
+
+    import ray.data as rd
+
+    from hgcn_name_disambiguation_ray.config import LinkageConfig
+    from hgcn_name_disambiguation_ray.pipelines.linkage import run_linkage
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [root, os.environ.get("PYTHONPATH", "")]).rstrip(os.pathsep))
+    proc = subprocess.run(
+        [sys.executable, "-c", _ONE_CPU_RUN, json.dumps(SPEC)],
+        capture_output=True, text=True, timeout=300, env=env, cwd=root,
+    )
+    assert proc.returncode == 0, proc.stderr[-3000:]
+    one_cpu = json.loads(proc.stdout.strip().splitlines()[-1])
+    pages = rd.from_arrow(small_fixture["pages"])
+    for cap in (512, 40):
+        df = run_linkage(pages, LinkageConfig(salt_cap=cap)).to_pandas()
+        want = sorted(zip(df["mention_id"], df["cluster_id"]))
+        assert [tuple(r) for r in one_cpu[str(cap)]] == want, cap
