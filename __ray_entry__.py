@@ -609,8 +609,8 @@ def _q_ivf_topk(sf_dir: str):
 
 def _q_cust_nation_join(sf_dir: str):
     """Broadcast join (SURVEY J3 pattern): nation+region (small sides,
-    ray.put once) into the customer scan; aggregate per nation name."""
-    import ray
+    25 rows, shipped in the task closure) into the customer scan;
+    aggregate per nation name."""
     import ray.data as rd
     from ray.data.aggregate import Sum
 
@@ -621,22 +621,16 @@ def _q_cust_nation_join(sf_dir: str):
     lookup = nation.merge(region, left_on="n_regionkey", right_on="r_regionkey")[
         ["n_nationkey", "n_name", "r_name"]
     ]
-    ref = ray.put(lookup)
 
-    class JoinNation:
-        def __init__(self, ref):
-            self.lookup = ray.get(ref)
-
-        def __call__(self, t: pa.Table) -> pa.Table:
-            df = t.to_pandas().merge(self.lookup, left_on="c_nationkey", right_on="n_nationkey")
-            g = df.groupby(["r_name", "n_name"], as_index=False).agg(n_cust=("c_custkey", "size"))
-            return pa.Table.from_pandas(g, preserve_index=False)
+    def join_nation(t: pa.Table) -> pa.Table:
+        df = t.to_pandas().merge(lookup, left_on="c_nationkey", right_on="n_nationkey")
+        g = df.groupby(["r_name", "n_name"], as_index=False).agg(n_cust=("c_custkey", "size"))
+        return pa.Table.from_pandas(g, preserve_index=False)
 
     cust = rd.read_parquet(
         os.path.join(sf_dir, "customer.parquet"), columns=["c_custkey", "c_nationkey"]
     )
-    partials = cust.map_batches(JoinNation, fn_constructor_args=(ref,),
-                                batch_format="pyarrow", concurrency=(1, 4))
+    partials = cust.map_batches(join_nation, batch_format="pyarrow")
     agg = partials.groupby(["r_name", "n_name"]).aggregate(Sum("n_cust", alias_name="n_cust"))
     return agg.map_batches(
         lambda t: t.set_column(t.schema.get_field_index("n_cust"), "n_cust",
@@ -1726,23 +1720,22 @@ def _q_kmeans_clusters(sf_dir: str):
 def _q_linkage_sharded(sf_dir: str):
     """The per-partition-resumable linkage path over the pages fixture:
     block-key shards checkpoint independently (kill/resume covered in
-    tests); output must equal the unsharded pipeline's clusters."""
+    tests); output must equal the unsharded pipeline's clusters. Each
+    call writes its shards to its own temporary directory, so it never
+    serves shards another checkout's scorer wrote."""
+    import tempfile
+
     import ray.data as rd
 
     from hgcn_name_disambiguation_ray.config import LinkageConfig
     from hgcn_name_disambiguation_ray.pipelines.linkage import run_linkage_sharded
 
-    fdir = _fixture_pages_dir()
-    src = os.path.join(fdir, "pages.parquet")
-    st = os.stat(src)
-    pages = rd.read_parquet(src)
-    out = run_linkage_sharded(
-        pages, LinkageConfig(), checkpoint_dir="/tmp/hgcn_ray_shard_ckpt_v1",
-        # content-keyed lineage (mtime/size), not the constant path: a
-        # regenerated fixture must invalidate the persistent shards
-        lineage_token=f"{src}:{st.st_mtime_ns}:{st.st_size}", n_shards=4,
-    )
-    return out.to_pandas().sort_values("mention_id").reset_index(drop=True)
+    src = os.path.join(_fixture_pages_dir(), "pages.parquet")
+    with tempfile.TemporaryDirectory(prefix="hgcn_ray_shard_ckpt_") as ckpt:
+        out = run_linkage_sharded(rd.read_parquet(src), LinkageConfig(), checkpoint_dir=ckpt,
+                                  lineage_token=src, n_shards=4)
+        # read into pandas before the shard files go
+        return out.to_pandas().sort_values("mention_id").reset_index(drop=True)
 
 
 def _q_linkage_arnetminer(sf_dir: str):
@@ -2295,7 +2288,7 @@ def oracle_sql() -> dict[str, str]:
             "SELECT nd AS doc_id, min(m) AS canonical_id FROM r GROUP BY 1"
         ),
         "language_id": (
-            # mirrors LanguageId: CJK script wins; else the alphabetically
+            # mirrors textprep.language_id: CJK script wins; else the alphabetically
             # first language with the max distinct-stopword overlap; all-zero
             # overlap -> 'unknown'
             "WITH w AS (SELECT doc_id, text, list_filter(string_split("

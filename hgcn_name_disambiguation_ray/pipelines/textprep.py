@@ -1,6 +1,6 @@
 """Text-analysis operators over a documents Dataset (training-data prep).
 
-Each is a stateless or actor-pool `map_batches` stage over Arrow batches:
+Each is a plain-task `map_batches` stage over Arrow batches:
 
   * token_count     — whitespace tokens + the engine's len>1 token rule
                       + a BPE-ish subword regex count
@@ -138,23 +138,22 @@ def quality_score(ds: Dataset, text_col: str = "text", id_col: str = "doc_id") -
     return ds.map_batches(body, batch_format="pyarrow")
 
 
-class LanguageId:
-    """Actor-pool language-ID stage: profiles compiled once per actor.
+# alphabetical order — ties resolve to the first maximal language
+_LANGS = sorted(_STOPWORDS)
+_STOP_LISTS = [np.array(sorted(_STOPWORDS[lg])) for lg in _LANGS]
+
+
+def language_id(ds: Dataset, text_col: str = "text", id_col: str = "doc_id") -> Dataset:
+    """(id, pred_lang) per document, as a plain task over the module's
+    stopword profiles.
 
     Vectorized: CJK detection is one Arrow regex count; stopword overlap
     is computed over the flattened distinct (doc, word) pairs with one
     np.isin + segmented sum per language profile."""
 
-    def __init__(self, text_col: str = "text", id_col: str = "doc_id"):
-        self.text_col = text_col
-        self.id_col = id_col
-        # alphabetical order — ties resolve to the first maximal language
-        self.langs = sorted(_STOPWORDS)
-        self.stop_lists = [np.array(sorted(_STOPWORDS[lg])) for lg in self.langs]
-
-    def __call__(self, t: pa.Table) -> pa.Table:
+    def body(t: pa.Table) -> pa.Table:
         n = t.num_rows
-        col = _fill(t[self.text_col])
+        col = _fill(t[text_col])
         cjk = pc.count_substring_regex(col, pattern=_CJK_PATTERN).to_numpy(
             zero_copy_only=False
         ) > 0
@@ -165,24 +164,17 @@ class LanguageId:
             ud, uw = uniq["d"].to_numpy(), uniq["w"].to_numpy()
         else:
             ud, uw = doc_idx, flat
-        scores = np.zeros((n, len(self.langs)), dtype=np.int64)
-        for j, sw in enumerate(self.stop_lists):
+        scores = np.zeros((n, len(_LANGS)), dtype=np.int64)
+        for j, sw in enumerate(_STOP_LISTS):
             hit = np.isin(uw, sw)
             scores[:, j] = np.bincount(ud[hit], minlength=n)
         best = scores.argmax(axis=1)            # first max = alphabetical min
-        preds = np.asarray(self.langs, dtype=object)[best]
+        preds = np.asarray(_LANGS, dtype=object)[best]
         preds[scores.max(axis=1) == 0] = "unknown"
         preds[cjk] = "zh"
-        return pa.table(
-            {self.id_col: t[self.id_col], "pred_lang": pa.array(preds, type=pa.string())}
-        )
+        return pa.table({id_col: t[id_col], "pred_lang": pa.array(preds, type=pa.string())})
 
-
-def language_id(ds: Dataset, text_col: str = "text", id_col: str = "doc_id") -> Dataset:
-    return ds.map_batches(
-        LanguageId, fn_constructor_args=(text_col, id_col),
-        batch_format="pyarrow", concurrency=(1, 4),
-    )
+    return ds.map_batches(body, batch_format="pyarrow")
 
 
 def vocabulary(

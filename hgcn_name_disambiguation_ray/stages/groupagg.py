@@ -101,20 +101,27 @@ def hash_join(
     num_partitions: int | None = None,
 ) -> Dataset:
     """Distributed hash join for the big-big case where neither side fits
-    a broadcast (`ray.put` + map_batches lookup remains the right tool
-    for small sides). Thin wrapper over Ray Data's partitioned hash join
-    with an opinionated default partition count. Each partition costs an
+    a broadcast (small sides take `auto_join`'s broadcast merge, a plain
+    task that resolves the table once per worker via `worker_cached`).
+    Thin wrapper over Ray Data's partitioned hash join with an
+    opinionated default partition count. Each partition costs an
     aggregator actor, so more partitions trade per-partition memory for
     fixed overhead (measured: 64 partitions is ~6x slower than 16 on a
     150k-row join) — size to data: partitions ~ input_bytes /
     (worker_heap / 4), floored at the CPU count for parallelism."""
     import ray
 
+    cpus = ray.cluster_resources().get("CPU", 8)
     if num_partitions is None:
-        num_partitions = max(8, int(ray.cluster_resources().get("CPU", 8)))
+        num_partitions = max(8, int(cpus))
     join_type = {"inner": "inner", "left": "left_outer", "right": "right_outer",
                  "full": "full_outer", "semi": "left_semi", "anti": "left_anti"}[how]
-    return left.join(right, join_type=join_type, num_partitions=num_partitions, on=tuple(on))
+    # Ray reserves half the CPUs for the join's aggregator actors; below 2
+    # CPUs that leaves the tasks feeding the join less than the one CPU
+    # each needs and the join never starts, so there they reserve none
+    aggregators = {"num_cpus": 0} if cpus < 2 else None
+    return left.join(right, join_type=join_type, num_partitions=num_partitions, on=tuple(on),
+                     aggregator_ray_remote_args=aggregators)
 
 
 _WORKER_CACHE: dict = {}

@@ -7,6 +7,12 @@
   * ivf_topk — the scale path: deterministic k-means-lite centroids from
     a seeded sample, rows partitioned by nearest centroid; queries probe
     only their nprobe nearest centroids' partitions.
+  * kmeans_fit / kmeans_assign — distributed Lloyd over the same column.
+
+Every stage is a plain `map_batches` task (no actor pool), so it fuses
+with its neighbours and runs on one CPU. A broadcast matrix (queries,
+centroids) is put once; the top-k, IVF-build and assign tasks copy it
+out of the object store once per worker (`groupagg.worker_cached`).
 """
 
 from __future__ import annotations
@@ -16,6 +22,8 @@ import pandas as pd
 import pyarrow as pa
 import ray
 from ray.data import Dataset
+
+from hgcn_name_disambiguation_ray.stages.groupagg import worker_cached
 
 
 def _as_matrix(col) -> np.ndarray:
@@ -54,34 +62,42 @@ def _normalize(m: np.ndarray) -> np.ndarray:
     return m / norms
 
 
-class _LocalTopK:
-    def __init__(self, query_ref, k: int, vec_col: str, id_col: str):
-        q = ray.get(query_ref) if isinstance(query_ref, ray.ObjectRef) else query_ref
-        self.q = _normalize(np.asarray(q, dtype=np.float64))  # (nq, d)
-        self.k = k
-        self.vec_col = vec_col
-        self.id_col = id_col
+def _local_topk(t: pa.Table, q: np.ndarray, qidx: np.ndarray, k: int,
+                vec_col: str, id_col: str) -> pa.Table:
+    """(query_idx, vec_id, score): one batch's top-k rows for each
+    normalized query row of `q` (query ids `qidx`), from one matmul."""
+    idc = t[id_col]
+    if isinstance(idc, pa.ChunkedArray):
+        idc = idc.combine_chunks()
+    # buffer decode, not to_pylist: no per-value Python on the hot path
+    ids = idc.to_numpy(zero_copy_only=False)
+    if len(ids) == 0:
+        return pa.table({"query_idx": pa.array([], type=pa.int32()),
+                         "vec_id": pa.array([], type=pa.int64()),
+                         "score": pa.array([], type=pa.float64())})
+    m = _normalize(_as_matrix(t[vec_col]))          # (n, d)
+    sims = q @ m.T                                  # (nq, n)
+    kk = min(k, sims.shape[1])
+    idx = np.argpartition(-sims, kk - 1, axis=1)[:, :kk]
+    qi = np.repeat(qidx.astype(np.int32), kk)
+    vi = ids[idx.reshape(-1)]
+    sc = np.take_along_axis(sims, idx, axis=1).reshape(-1)
+    return pa.table({"query_idx": pa.array(qi, type=pa.int32()),
+                     "vec_id": pa.array(vi, type=pa.int64()),
+                     "score": pa.array(sc, type=pa.float64())})
 
-    def __call__(self, t: pa.Table) -> pa.Table:
-        idc = t[self.id_col]
-        if isinstance(idc, pa.ChunkedArray):
-            idc = idc.combine_chunks()
-        # buffer decode, not to_pylist: no per-value Python on the hot path
-        ids = idc.to_numpy(zero_copy_only=False)
-        if len(ids) == 0:
-            return pa.table({"query_idx": pa.array([], type=pa.int32()),
-                             "vec_id": pa.array([], type=pa.int64()),
-                             "score": pa.array([], type=pa.float64())})
-        m = _normalize(_as_matrix(t[self.vec_col]))          # (n, d)
-        sims = self.q @ m.T                                   # (nq, n)
-        k = min(self.k, sims.shape[1])
-        idx = np.argpartition(-sims, k - 1, axis=1)[:, :k]
-        qi = np.repeat(np.arange(sims.shape[0], dtype=np.int32), k)
-        vi = ids[idx.reshape(-1)]
-        sc = np.take_along_axis(sims, idx, axis=1).reshape(-1)
-        return pa.table({"query_idx": pa.array(qi, type=pa.int32()),
-                         "vec_id": pa.array(vi, type=pa.int64()),
-                         "score": pa.array(sc, type=pa.float64())})
+
+def _merge_topk(local: Dataset, k: int) -> Dataset:
+    """Global top-k per query from the local top-ks, with a 1-based rank;
+    ties broken deterministically by (score desc, vec_id asc)."""
+
+    def merge(g: pd.DataFrame) -> pd.DataFrame:
+        g = g.sort_values(["score", "vec_id"], ascending=[False, True]).head(k)
+        g = g.reset_index(drop=True)
+        g["rank"] = np.arange(1, len(g) + 1, dtype=np.int64)
+        return g
+
+    return local.groupby("query_idx").map_groups(merge, batch_format="pandas")
 
 
 def brute_force_topk(
@@ -95,18 +111,13 @@ def brute_force_topk(
 
     Ties broken deterministically by (score desc, vec_id asc)."""
     qref = ray.put(np.asarray(queries, dtype=np.float64))
-    local = ds.map_batches(
-        _LocalTopK, fn_constructor_args=(qref, k, vec_col, id_col),
-        batch_format="pyarrow", concurrency=(1, 8),
-    )
 
-    def merge(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["score", "vec_id"], ascending=[False, True]).head(k)
-        g = g.reset_index(drop=True)
-        g["rank"] = np.arange(1, len(g) + 1, dtype=np.int64)
-        return g
+    def local_topk(t: pa.Table) -> pa.Table:
+        # normalized into a fresh array once per worker: pins nothing
+        q = worker_cached(("topk_queries", qref.hex()), lambda: _normalize(ray.get(qref)))
+        return _local_topk(t, q, np.arange(len(q)), k, vec_col, id_col)
 
-    return local.groupby("query_idx").map_groups(merge, batch_format="pandas")
+    return _merge_topk(ds.map_batches(local_topk, batch_format="pyarrow"), k)
 
 
 def _kmeans_lite(sample: np.ndarray, n_centroids: int, iters: int, seed: int) -> np.ndarray:
@@ -178,17 +189,12 @@ class IvfIndex:
         cents = _normalize(_kmeans_lite(_normalize(sample), n_centroids, iters=iters, seed=seed))
         cref = ray.put(cents)
 
-        class Assign:
-            def __init__(self, ref, vec_col):
-                self.cents = ray.get(ref)
-                self.vec_col = vec_col
-
-            def __call__(self, t: pa.Table) -> pa.Table:
-                if t.num_rows == 0:
-                    return t.append_column("centroid", pa.array([], type=pa.int32()))
-                m = _normalize(_as_matrix(t[self.vec_col]))
-                assign = (m @ self.cents.T).argmax(1).astype(np.int32)
-                return t.append_column("centroid", pa.array(assign))
+        def assign(t: pa.Table) -> pa.Table:
+            if t.num_rows == 0:
+                return t.append_column("centroid", pa.array([], type=pa.int32()))
+            c = worker_cached(("ivf_centroids", cref.hex()), lambda: ray.get(cref).copy())
+            m = _normalize(_as_matrix(t[vec_col]))
+            return t.append_column("centroid", pa.array((m @ c.T).argmax(1).astype(np.int32)))
 
         # build into a temp dir and rename into place: a crashed or
         # concurrent duplicate build can never leave stale partition rows
@@ -199,8 +205,7 @@ class IvfIndex:
         if os.path.exists(tmp_dir):
             shutil.rmtree(tmp_dir)
         os.makedirs(tmp_dir)
-        ds.map_batches(Assign, fn_constructor_args=(cref, vec_col),
-                       batch_format="pyarrow", concurrency=(1, 8)).write_parquet(
+        ds.map_batches(assign, batch_format="pyarrow").write_parquet(
             tmp_dir, partition_cols=["centroid"]
         )
         np.save(os.path.join(tmp_dir, "_centroids.npy"), cents)
@@ -263,27 +268,7 @@ class IvfIndex:
             # partition — shipped once in the task closure, no actor pool
             # (one min-1-actor pool per partition would deadlock small CPU
             # budgets); the per-batch work is one matmul + local top-k
-            def score(t: pa.Table) -> pa.Table:
-                idc = t[id_col]
-                if isinstance(idc, pa.ChunkedArray):
-                    idc = idc.combine_chunks()
-                ids = idc.to_numpy(zero_copy_only=False)
-                if len(ids) == 0:
-                    return pa.table({"query_idx": pa.array([], type=pa.int32()),
-                                     "vec_id": pa.array([], type=pa.int64()),
-                                     "score": pa.array([], type=pa.float64())})
-                m = _normalize(_as_matrix(t[vec_col]))
-                sims = qsub @ m.T
-                kk = min(k, sims.shape[1])
-                idx = np.argpartition(-sims, kk - 1, axis=1)[:, :kk]
-                qi = np.repeat(qidx.astype(np.int32), kk)
-                vi = ids[idx.reshape(-1)]
-                sc = np.take_along_axis(sims, idx, axis=1).reshape(-1)
-                return pa.table({"query_idx": pa.array(qi, type=pa.int32()),
-                                 "vec_id": pa.array(vi, type=pa.int64()),
-                                 "score": pa.array(sc, type=pa.float64())})
-
-            return score
+            return lambda t: _local_topk(t, qsub, qidx, k, vec_col, id_col)
 
         parts = []
         for c, qidx in sorted(per_part.items()):
@@ -304,14 +289,7 @@ class IvfIndex:
         local = parts[0]
         for p in parts[1:]:
             local = local.union(p)
-
-        def merge(g: pd.DataFrame) -> pd.DataFrame:
-            g = g.sort_values(["score", "vec_id"], ascending=[False, True]).head(k)
-            g = g.reset_index(drop=True)
-            g["rank"] = np.arange(1, len(g) + 1, dtype=np.int64)
-            return g
-
-        return local.groupby("query_idx").map_groups(merge, batch_format="pandas")
+        return _merge_topk(local, k)
 
 
 def ivf_topk(
@@ -450,19 +428,19 @@ def kmeans_assign(
     against the broadcast centroid matrix."""
     ref = ray.put(np.asarray(centroids, dtype=np.float64))
 
-    class Assign:
-        def __init__(self):
-            self.C = ray.get(ref)
-            self.bias = (self.C * self.C).sum(axis=1)[None, :]
+    def build():
+        C = ray.get(ref).copy()
+        return C, (C * C).sum(axis=1)[None, :]
 
-        def __call__(self, t: pa.Table) -> pa.Table:
-            X = _as_matrix(t[vec_col])
-            if X.shape[0] == 0:
-                # keep the caller's id type (a hardcoded int64 here would
-                # give empty blocks a different schema than full ones)
-                return pa.table({id_col: t[id_col],
-                                 "cluster": pa.array([], type=pa.int64())})
-            a = np.argmin(-2.0 * (X @ self.C.T) + self.bias, axis=1)
-            return pa.table({id_col: t[id_col], "cluster": pa.array(a.astype(np.int64))})
+    def assign(t: pa.Table) -> pa.Table:
+        X = _as_matrix(t[vec_col])
+        if X.shape[0] == 0:
+            # keep the caller's id type (a hardcoded int64 here would
+            # give empty blocks a different schema than full ones)
+            return pa.table({id_col: t[id_col],
+                             "cluster": pa.array([], type=pa.int64())})
+        C, bias = worker_cached(("kmeans_assign", ref.hex()), build)
+        a = np.argmin(-2.0 * (X @ C.T) + bias, axis=1)
+        return pa.table({id_col: t[id_col], "cluster": pa.array(a.astype(np.int64))})
 
-    return ds.map_batches(Assign, batch_format="pyarrow", concurrency=(1, 8))
+    return ds.map_batches(assign, batch_format="pyarrow")

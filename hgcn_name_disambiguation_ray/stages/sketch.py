@@ -19,6 +19,7 @@ import ray
 from ray.data import Dataset
 
 from hgcn_name_disambiguation_ray.functions.hashing import _splitmix64, hash_string_array
+from hgcn_name_disambiguation_ray.stages.groupagg import hash_join, worker_cached
 
 
 def _nlz64(x: np.ndarray) -> np.ndarray:
@@ -157,6 +158,17 @@ def bloom_build(ds: Dataset, col: str, m_bits: int = 1 << 20, k: int = 7) -> np.
     return out
 
 
+def _bloom_seen(t: pa.Table, ref, col: str, k: int) -> np.ndarray:
+    """Row mask of `t`: True where `col` is (probably) in the Bloom bits
+    behind `ref`, which a worker copies out of the object store once
+    (`worker_cached`). Null keys are never seen."""
+    bits = worker_cached(("bloom", ref.hex()), lambda: ray.get(ref).copy())
+    h, valid = _hash_column(t, col)
+    pos = _bloom_positions(h, len(bits) * 8, k)
+    hit = (bits[pos >> 3] & (np.uint8(1) << (pos & 7).astype(np.uint8))) != 0
+    return hit.all(axis=1) & valid
+
+
 def bloom_filter_seen(
     ds: Dataset, bloom_bits: np.ndarray, col: str, k: int = 7
 ) -> Dataset:
@@ -167,24 +179,12 @@ def bloom_filter_seen(
     costs more than a rare lost one. For exactness, follow with the
     distributed semi-join (`exact_dedup_corpus` pattern) on survivors.
 
-    The bit array is broadcast ONCE via ray.put and resolved per actor."""
-    m_bits = len(bloom_bits) * 8
+    The bit array is broadcast ONCE via ray.put and probed by a plain
+    task that resolves it once per worker."""
     ref = ray.put(np.asarray(bloom_bits, dtype=np.uint8))
-
-    class Filter:
-        def __init__(self):
-            self.bits = ray.get(ref)
-
-        def __call__(self, t: pa.Table) -> pa.Table:
-            h, valid = _hash_column(t, col)
-            if len(h) == 0:
-                return t
-            pos = _bloom_positions(h, m_bits, k)
-            hit = (self.bits[pos >> 3] & (np.uint8(1) << (pos & 7).astype(np.uint8))) != 0
-            seen = hit.all(axis=1) & valid  # null keys are never 'seen'
-            return t.filter(pa.array(~seen))
-
-    return ds.map_batches(Filter, batch_format="pyarrow", concurrency=(1, 8))
+    return ds.map_batches(
+        lambda t: t.filter(pa.array(~_bloom_seen(t, ref, col, k))), batch_format="pyarrow"
+    )
 
 
 def incremental_dedup(
@@ -203,35 +203,15 @@ def incremental_dedup(
     O(overlap) rows instead of O(corpus), and the result equals the plain
     anti-join bit for bit (SQL-oracle-checked).
 
-    The flag stage is recomputed by each branch on purpose: re-hashing a
+    The probe is recomputed by each branch on purpose: re-hashing a
     batch is far cheaper than materializing the whole new corpus."""
-    from hgcn_name_disambiguation_ray.stages.groupagg import hash_join
-
-    bloom_ref = ray.put(bloom_build(snapshot_ds, col, m_bits, k))
+    ref = ray.put(bloom_build(snapshot_ds, col, m_bits, k))
     cols = new_ds.columns()
-
-    def split(keep_hits: bool):
-        class Split:
-            def __init__(self):
-                self.bits = ray.get(bloom_ref)
-
-            def __call__(self, t: pa.Table) -> pa.Table:
-                h, valid = _hash_column(t, col)
-                if len(h) == 0:
-                    return t
-                pos = _bloom_positions(h, m_bits, k)
-                hit = (
-                    (self.bits[pos >> 3] & (np.uint8(1) << (pos & 7).astype(np.uint8))) != 0
-                ).all(axis=1) & valid  # null keys route to definitely-new
-                return t.filter(pa.array(hit if keep_hits else ~hit))
-
-        return Split
-
     definitely_new = new_ds.map_batches(
-        split(False), batch_format="pyarrow", concurrency=(1, 8)
+        lambda t: t.filter(pa.array(~_bloom_seen(t, ref, col, k))), batch_format="pyarrow"
     )
     maybe_seen = new_ds.map_batches(
-        split(True), batch_format="pyarrow", concurrency=(1, 8)
+        lambda t: t.filter(pa.array(_bloom_seen(t, ref, col, k))), batch_format="pyarrow"
     )
     snap_keys = snapshot_ds.select_columns([col])
     resurrected = hash_join(maybe_seen, snap_keys, on=[col], how="anti")

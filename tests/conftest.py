@@ -33,6 +33,17 @@ def small_fixture():
     )
 
 
+class _MapCalls(list):
+    def assert_plain_tasks(self) -> None:
+        """At least one call was made, and none ran as an actor pool: no
+        callable class, constructor arguments or pool size."""
+        assert self
+        for fn, kwargs in self:
+            assert not isinstance(fn, type), fn
+            assert kwargs.get("fn_constructor_args") is None, fn
+            assert kwargs.get("concurrency") is None, fn
+
+
 @pytest.fixture
 def map_calls(monkeypatch):
     """Spy: (fn, kwargs) of every Dataset.map_batches and
@@ -40,7 +51,7 @@ def map_calls(monkeypatch):
     from ray.data import Dataset
     from ray.data.grouped_data import GroupedData
 
-    calls: list = []
+    calls = _MapCalls()
     for owner, name in ((Dataset, "map_batches"), (GroupedData, "map_groups")):
         orig = getattr(owner, name)
 

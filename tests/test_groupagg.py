@@ -356,8 +356,4 @@ def test_auto_join_broadcast_runs_as_tasks(ray_session, map_calls):
     right = rd.from_pandas(pd.DataFrame({"k": [0, 1], "v": [7, 5]}))
     assert auto_join(left, right, on=["k"], how="inner").count() == 2
     assert auto_join(left, right, on=["k"], how="left").count() == 40
-    assert map_calls
-    for fn, kwargs in map_calls:
-        assert not isinstance(fn, type), fn
-        assert kwargs.get("fn_constructor_args") is None, fn
-        assert kwargs.get("concurrency") is None, fn
+    map_calls.assert_plain_tasks()

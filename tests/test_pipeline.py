@@ -446,10 +446,7 @@ def test_linkage_runs_without_actor_pools(ray_session, small_fixture, map_calls)
     out = run_linkage(pages, LinkageConfig(salt_cap=40)).to_pandas()
     assert out["salt"].max() > 0
     assert "score_block" in [getattr(fn, "__name__", "") for fn, _ in map_calls]
-    for fn, kwargs in map_calls:
-        assert not isinstance(fn, type), fn
-        assert kwargs.get("fn_constructor_args") is None, fn
-        assert kwargs.get("concurrency") is None, fn
+    map_calls.assert_plain_tasks()
 
 
 _ONE_CPU_RUN = """
