@@ -160,7 +160,7 @@ def _q_dedup_corpus(sf_dir: str):
 
 
 def _q_lang_agg(sf_dir: str):
-    from ray.data.aggregate import Count, Sum
+    from hgcn_name_disambiguation_ray.stages.groupagg import bucketed_sum
 
     ds = _docs(sf_dir, columns=["lang", "n_chars"])
 
@@ -171,20 +171,7 @@ def _q_lang_agg(sf_dir: str):
         return g.rename_columns([ren.get(c, c) for c in g.column_names])
 
     partials = ds.map_batches(partial, batch_format="pyarrow")
-    agg = partials.groupby("lang").aggregate(
-        Sum("n_docs", alias_name="n_docs"), Sum("sum_chars", alias_name="sum_chars")
-    )
-    # Ray's Sum widens to float64; the oracle's SUM(BIGINT) stays integral
-    return agg.map_batches(
-        lambda t: t.set_column(
-            t.schema.get_field_index("sum_chars"),
-            "sum_chars",
-            t["sum_chars"].cast(pa.int64()),
-        ).set_column(
-            t.schema.get_field_index("n_docs"), "n_docs", t["n_docs"].cast(pa.int64())
-        ),
-        batch_format="pyarrow",
-    )
+    return bucketed_sum(partials, ["lang"], ["n_docs", "sum_chars"])
 
 
 def _q_cooccur_pairs(sf_dir: str):
@@ -287,19 +274,14 @@ def _q_eval_counts(sf_dir: str):
     """A5: pairwise-eval count identity with true=label, pred=vec_id%7."""
     import ray.data as rd
 
+    from hgcn_name_disambiguation_ray.stages.groupagg import bucketed_count
+
     ds = rd.read_parquet(os.path.join(sf_dir, "embeddings.parquet"), columns=["vec_id", "label"])
 
-    def cells(t: pa.Table) -> pa.Table:
-        df = pd.DataFrame({"t": t["label"].to_pandas(), "p": t["vec_id"].to_pandas() % 7})
-        return pa.Table.from_pandas(
-            df.groupby(["t", "p"]).size().reset_index(name="n"), preserve_index=False
-        )
+    def cells(df: pd.DataFrame) -> pd.DataFrame:
+        return pd.DataFrame({"t": df["label"], "p": df["vec_id"] % 7})
 
-    from ray.data.aggregate import Sum
-
-    full = ds.map_batches(cells, batch_format="pyarrow").groupby(["t", "p"]).aggregate(
-        Sum("n", alias_name="n")
-    ).to_pandas()
+    full = bucketed_count(ds.map_batches(cells, batch_format="pandas"), ["t", "p"]).to_pandas()
 
     def c2(s):
         return (s * (s - 1) // 2).sum()
@@ -313,21 +295,16 @@ def _q_eval_counts(sf_dir: str):
 def _q_window_counts(sf_dir: str):
     """Tumbling daily window counts per user over the events stream."""
     import ray.data as rd
-    from ray.data.aggregate import Sum
+
+    from hgcn_name_disambiguation_ray.stages.groupagg import bucketed_count
 
     ds = rd.read_parquet(os.path.join(sf_dir, "events.parquet"), columns=["user_id", "ts"])
 
-    def partial(t: pa.Table) -> pa.Table:
-        df = pd.DataFrame(
-            {"user_id": t["user_id"].to_pandas(), "day": t["ts"].to_pandas().dt.strftime("%Y-%m-%d")}
-        )
-        return pa.Table.from_pandas(
-            df.groupby(["user_id", "day"]).size().reset_index(name="n_events"),
-            preserve_index=False,
-        )
+    def day(df: pd.DataFrame) -> pd.DataFrame:
+        return pd.DataFrame({"user_id": df["user_id"], "day": df["ts"].dt.strftime("%Y-%m-%d")})
 
-    partials = ds.map_batches(partial, batch_format="pyarrow")
-    return partials.groupby(["user_id", "day"]).aggregate(Sum("n_events", alias_name="n_events"))
+    days = ds.map_batches(day, batch_format="pandas")
+    return bucketed_count(days, ["user_id", "day"], "n_events")
 
 
 def _q_hopping_window(sf_dir: str):
@@ -347,9 +324,9 @@ def _q_json_props_stats(sf_dir: str):
     sidecar — vectorized Arrow regex fast path (functions/jsonx.py),
     per-batch partial aggregation before the shuffle."""
     import ray.data as rd
-    from ray.data.aggregate import Max, Min, Sum
 
     from hgcn_name_disambiguation_ray.functions.jsonx import json_extract_int64
+    from hgcn_name_disambiguation_ray.stages.groupagg import bucketed_group_apply
 
     ds = rd.read_parquet(
         os.path.join(sf_dir, "events.parquet"), columns=["event_type", "props"]
@@ -363,13 +340,16 @@ def _q_json_props_stats(sf_dir: str):
         ren = {"k_count": "n", "k_sum": "sum_k", "k_min": "min_k", "k_max": "max_k"}
         return g.rename_columns([ren.get(c, c) for c in g.column_names])
 
+    merge = [("n", "sum"), ("sum_k", "sum"), ("min_k", "min"), ("max_k", "max")]
+
+    def combine(t: pa.Table) -> pa.Table:
+        g = t.group_by("event_type", use_threads=False).aggregate(merge)
+        return g.select(["event_type"] + [f"{c}_{f}" for c, f in merge]).rename_columns(
+            ["event_type"] + [c for c, _ in merge]
+        )
+
     partials = ds.map_batches(partial, batch_format="pyarrow")
-    return partials.groupby("event_type").aggregate(
-        Sum("n", alias_name="n"),
-        Sum("sum_k", alias_name="sum_k"),
-        Min("min_k", alias_name="min_k"),
-        Max("max_k", alias_name="max_k"),
-    )
+    return bucketed_group_apply(partials, ["event_type"], combine, batch_format="pyarrow")
 
 
 def _q_top_orders(sf_dir: str):
@@ -612,7 +592,8 @@ def _q_cust_nation_join(sf_dir: str):
     25 rows, shipped in the task closure) into the customer scan;
     aggregate per nation name."""
     import ray.data as rd
-    from ray.data.aggregate import Sum
+
+    from hgcn_name_disambiguation_ray.stages.groupagg import bucketed_count
 
     nation = pd.read_parquet(os.path.join(sf_dir, "nation.parquet"))[
         ["n_nationkey", "n_name", "n_regionkey"]
@@ -622,56 +603,37 @@ def _q_cust_nation_join(sf_dir: str):
         ["n_nationkey", "n_name", "r_name"]
     ]
 
-    def join_nation(t: pa.Table) -> pa.Table:
-        df = t.to_pandas().merge(lookup, left_on="c_nationkey", right_on="n_nationkey")
-        g = df.groupby(["r_name", "n_name"], as_index=False).agg(n_cust=("c_custkey", "size"))
-        return pa.Table.from_pandas(g, preserve_index=False)
+    def join_nation(df: pd.DataFrame) -> pd.DataFrame:
+        return df.merge(lookup, left_on="c_nationkey", right_on="n_nationkey")[["r_name", "n_name"]]
 
-    cust = rd.read_parquet(
-        os.path.join(sf_dir, "customer.parquet"), columns=["c_custkey", "c_nationkey"]
-    )
-    partials = cust.map_batches(join_nation, batch_format="pyarrow")
-    agg = partials.groupby(["r_name", "n_name"]).aggregate(Sum("n_cust", alias_name="n_cust"))
-    return agg.map_batches(
-        lambda t: t.set_column(t.schema.get_field_index("n_cust"), "n_cust",
-                               t["n_cust"].cast(pa.int64())),
-        batch_format="pyarrow",
-    )
+    cust = rd.read_parquet(os.path.join(sf_dir, "customer.parquet"), columns=["c_nationkey"])
+    joined = cust.map_batches(join_nation, batch_format="pandas")
+    return bucketed_count(joined, ["r_name", "n_name"], "n_cust")
 
 
 def _q_top_customers(sf_dir: str):
     """Order counts per customer (partial-agg + shuffle) joined with the
     broadcast customer-name side; deterministic top 10."""
-    import ray
     import ray.data as rd
-    from ray.data.aggregate import Sum
+
+    from hgcn_name_disambiguation_ray.stages.groupagg import bucketed_count, topk
 
     orders = rd.read_parquet(os.path.join(sf_dir, "orders.parquet"), columns=["o_custkey"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        g = t.group_by("o_custkey").aggregate([("o_custkey", "count")])
-        ren = {"o_custkey_count": "n_orders"}
-        return g.rename_columns([ren.get(c, c) for c in g.column_names])
-
-    counts = orders.map_batches(partial, batch_format="pyarrow").groupby(
-        "o_custkey"
-    ).aggregate(Sum("n_orders", alias_name="n_orders"))
-    from hgcn_name_disambiguation_ray.stages.groupagg import topk
-
+    counts = bucketed_count(orders, ["o_custkey"], "n_orders")
     top = topk(counts, ["n_orders", "o_custkey"], descending=[True, False], k=10).to_pandas()
     names = pd.read_parquet(os.path.join(sf_dir, "customer.parquet"))[["c_custkey", "c_name"]]
-    out = top.merge(names, left_on="o_custkey", right_on="c_custkey")[
+    return top.merge(names, left_on="o_custkey", right_on="c_custkey")[
         ["o_custkey", "c_name", "n_orders"]
     ]
-    out["n_orders"] = out["n_orders"].astype(np.int64)
-    return out
 
 
 def _q_lineitem_agg(sf_dir: str):
     """TPC-H Q1-shaped pruned scan + partial aggregation; integral sums
     only (float sums are not hash-comparable across engines)."""
+    import pyarrow.compute as pc
     import ray.data as rd
-    from ray.data.aggregate import Sum
+
+    from hgcn_name_disambiguation_ray.stages.groupagg import bucketed_sum
 
     li = rd.read_parquet(
         os.path.join(sf_dir, "lineitem.parquet"),
@@ -685,26 +647,15 @@ def _q_lineitem_agg(sf_dir: str):
         ren = {"l_quantity_sum": "sum_qty", "l_quantity_count": "n_rows"}
         return g.rename_columns([ren.get(c, c) for c in g.column_names])
 
-    agg = li.map_batches(partial, batch_format="pyarrow").groupby(
-        ["l_returnflag", "l_linestatus"]
-    ).aggregate(Sum("sum_qty", alias_name="sum_qty"), Sum("n_rows", alias_name="n_rows"))
+    keys = ["l_returnflag", "l_linestatus"]
+    agg = bucketed_sum(li.map_batches(partial, batch_format="pyarrow"), keys, ["sum_qty", "n_rows"])
     return agg.map_batches(
-        lambda t: pa.table(
-            {
-                "l_returnflag": t["l_returnflag"],
-                "l_linestatus": t["l_linestatus"],
-                "sum_qty": pc_round_int(t["sum_qty"]),
-                "n_rows": t["n_rows"].cast(pa.int64()),
-            }
+        lambda t: t.set_column(
+            t.schema.get_field_index("sum_qty"), "sum_qty",
+            pc.round(t["sum_qty"]).cast(pa.int64()),
         ),
         batch_format="pyarrow",
     )
-
-
-def pc_round_int(col: pa.ChunkedArray) -> pa.Array:
-    import pyarrow.compute as pc
-
-    return pc.round(col).cast(pa.int64())
 
 
 def _q_sessionize(sf_dir: str):
@@ -893,9 +844,8 @@ def _q_range_week_events(sf_dir: str):
     deterministically into the events' time range, counted per order
     (interval tiling + bucketed co-location)."""
     import ray.data as rd
-    from ray.data.aggregate import Sum
 
-    from hgcn_name_disambiguation_ray.stages.groupagg import range_join
+    from hgcn_name_disambiguation_ray.stages.groupagg import bucketed_count, range_join
 
     DAY_US = 24 * 3600 * 1_000_000
     WEEK_US = 7 * DAY_US
@@ -938,21 +888,7 @@ def _q_range_week_events(sf_dir: str):
         by=["u"], start="s", end="e", at="at", granularity=WEEK_US,
     )
 
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        return df.groupby("o_orderkey", as_index=False).size().rename(columns={"size": "n_events"})
-
-    partials = joined.map_batches(partial, batch_format="pandas")
-    agg = partials.groupby("o_orderkey").aggregate(Sum("n_events", alias_name="n_events"))
-    # o_orderkey widened to float64 by the union-side null padding
-    return agg.map_batches(
-        lambda t: pa.table(
-            {
-                "o_orderkey": t["o_orderkey"].cast(pa.int64()),
-                "n_events": t["n_events"].cast(pa.int64()),
-            }
-        ),
-        batch_format="pyarrow",
-    )
+    return bucketed_count(joined, ["o_orderkey"], "n_events")
 
 
 def _q_segment_orders(sf_dir: str):
@@ -962,9 +898,8 @@ def _q_segment_orders(sf_dir: str):
     distributed hash join (which the dedup verify joins and test_groupagg
     still exercise)."""
     import ray.data as rd
-    from ray.data.aggregate import Sum
 
-    from hgcn_name_disambiguation_ray.stages.groupagg import auto_join
+    from hgcn_name_disambiguation_ray.stages.groupagg import auto_join, bucketed_count
 
     orders = rd.read_parquet(os.path.join(sf_dir, "orders.parquet"), columns=["o_custkey"])
     cust = rd.read_parquet(
@@ -973,21 +908,7 @@ def _q_segment_orders(sf_dir: str):
         lambda t: t.rename_columns(["o_custkey", "c_mktsegment"]), batch_format="pyarrow"
     )
     joined = auto_join(orders, cust, on=["o_custkey"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        g = t.group_by("c_mktsegment").aggregate([("c_mktsegment", "count")])
-        ren = {"c_mktsegment_count": "n_orders"}
-        return g.rename_columns([ren.get(c, c) for c in g.column_names])
-
-    agg = joined.map_batches(partial, batch_format="pyarrow").groupby(
-        "c_mktsegment"
-    ).aggregate(Sum("n_orders", alias_name="n_orders"))
-    return agg.map_batches(
-        lambda t: pa.table(
-            {"c_mktsegment": t["c_mktsegment"], "n_orders": t["n_orders"].cast(pa.int64())}
-        ),
-        batch_format="pyarrow",
-    )
+    return bucketed_count(joined, ["c_mktsegment"], "n_orders")
 
 
 def _q_closure_components(sf_dir: str):
@@ -1028,7 +949,8 @@ def _q_union_names(sf_dir: str):
     """Dataset.union (D5 analogue): customer + supplier rows unioned, then
     counted per nation key via partial aggregation."""
     import ray.data as rd
-    from ray.data.aggregate import Sum
+
+    from hgcn_name_disambiguation_ray.stages.groupagg import bucketed_count
 
     cust = rd.read_parquet(
         os.path.join(sf_dir, "customer.parquet"), columns=["c_nationkey"]
@@ -1041,21 +963,7 @@ def _q_union_names(sf_dir: str):
         lambda t: pa.table({"nationkey": t["s_nationkey"]}), batch_format="pyarrow"
     )
     both = cust.union(supp)
-
-    def partial(t: pa.Table) -> pa.Table:
-        g = t.group_by("nationkey").aggregate([("nationkey", "count")])
-        ren = {"nationkey_count": "n_parties"}
-        return g.rename_columns([ren.get(c, c) for c in g.column_names])
-
-    agg = both.map_batches(partial, batch_format="pyarrow").groupby("nationkey").aggregate(
-        Sum("n_parties", alias_name="n_parties")
-    )
-    return agg.map_batches(
-        lambda t: pa.table(
-            {"nationkey": t["nationkey"], "n_parties": t["n_parties"].cast(pa.int64())}
-        ),
-        batch_format="pyarrow",
-    )
+    return bucketed_count(both, ["nationkey"], "n_parties")
 
 
 def _q_majority_assignment(sf_dir: str):
@@ -1375,6 +1283,8 @@ def _q_multiformat_source(sf_dir: str):
 
     from hashlib import blake2b
 
+    from hgcn_name_disambiguation_ray.stages.groupagg import bucketed_count
+
     src = os.path.join(sf_dir, "documents.parquet")
     st = os.stat(src)
     key = f"{st.st_mtime_ns:x}-{st.st_size:x}"
@@ -1398,19 +1308,7 @@ def _q_multiformat_source(sf_dir: str):
         os.rename(csvf + tag, csvf)
 
     both = rd.read_json(jsonl).union(rd.read_csv(csvf))
-
-    def partial(t: pa.Table) -> pa.Table:
-        g = t.group_by("lang").aggregate([("doc_id", "count")])
-        ren = {"doc_id_count": "n"}
-        return g.rename_columns([ren.get(c, c) for c in g.column_names])
-
-    from ray.data.aggregate import Sum
-
-    return (
-        both.map_batches(partial, batch_format="pyarrow")
-        .groupby("lang")
-        .aggregate(Sum("n", alias_name="n"))
-    )
+    return bucketed_count(both, ["lang"])
 
 
 def _q_incremental_dedup(sf_dir: str):
@@ -1491,9 +1389,7 @@ def _q_heavy_hitters(sf_dir: str):
     value-hash oracle."""
     from hgcn_name_disambiguation_ray.stages.sketch import heavy_hitters
 
-    return heavy_hitters(
-        _docs(sf_dir, columns=["doc_id", "text"]), k=50, snapshot=False
-    )  # deterministic parquet input: keep both passes streaming
+    return heavy_hitters(_docs(sf_dir, columns=["doc_id", "text"]), k=50)
 
 
 def _q_token_freq_score(sf_dir: str):

@@ -418,7 +418,7 @@ def run_heavy_scale() -> None:
     n_docs = rd.read_parquet(path).count()
 
     t0 = time.time()
-    hh = heavy_hitters(rd.read_parquet(path), k=k, snapshot=False)
+    hh = heavy_hitters(rd.read_parquet(path), k=k)
     t_sketch = time.time() - t0
 
     t0 = time.time()

@@ -26,6 +26,13 @@ from ray.data import Dataset
 
 from hgcn_name_disambiguation_ray.functions.hashing import stable_hash64_array
 from hgcn_name_disambiguation_ray.functions.text import split_ws_flat
+from hgcn_name_disambiguation_ray.stages.groupagg import (
+    auto_join,
+    bucketed_group_apply,
+    bucketed_sum,
+    group_topk,
+    topk,
+)
 
 # BPE-ish subword splitter: letter runs, digit runs, single punctuation
 _BPE_PATTERN = r"[A-Za-z]+|\d+|[^\sA-Za-z\d]"
@@ -187,7 +194,6 @@ def vocabulary(
     lowercased whitespace token. Per-batch partial counts shrink the
     shuffle; the merge runs bucketed (token is a high-cardinality key —
     at web scale this is how the tokenizer-training vocab is built)."""
-    from hgcn_name_disambiguation_ray.stages.groupagg import bucketed_group_apply
 
     def partial(t: pa.Table) -> pa.Table:
         flat, offsets = split_ws_flat(t[text_col], lower=True)
@@ -276,7 +282,6 @@ def tfidf_top_terms(
     Composition of the engine's own operators: per-batch (doc, token, tf)
     partials -> document frequencies via `vocabulary` -> size-probed
     `auto_join` on the token key -> bucketed `group_topk` per doc."""
-    from hgcn_name_disambiguation_ray.stages.groupagg import auto_join, group_topk
 
     n_docs_total = ds.count()
 
@@ -311,7 +316,6 @@ def pack_sequences(
     sequence). Deterministic: output (doc_id, bucket, seq_idx) is a pure
     function of the inputs, independent of execution order — each bucket
     packs independently, which is the partitioning assumption."""
-    from hgcn_name_disambiguation_ray.stages.groupagg import bucketed_group_apply
 
     def add_bucket(t: pa.Table) -> pa.Table:
         from hgcn_name_disambiguation_ray.stages.sampling import _ids64, hash_bucket
@@ -479,7 +483,7 @@ def source_stats(
     domain-level filter every crawl pipeline runs (C4/RefinedWeb drop
     whole hosts). The blocklist is a small broadcast set applied inside
     map_batches (no shuffle); the per-source rollup pre-aggregates per
-    batch so the groupby moves one row per (batch, source)."""
+    batch so the bucketed sum moves one row per (batch, source)."""
     blocked = frozenset(blocklist)
 
     def partial(t: pa.Table) -> pa.Table:
@@ -499,23 +503,8 @@ def source_stats(
             }
         )
 
-    from ray.data.aggregate import Sum
-
-    agg = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby(source_col)
-        .aggregate(Sum("n_docs", alias_name="n_docs"), Sum("sum_chars", alias_name="sum_chars"))
-    )
-    # Ray's Sum widens to float64; these are exact integer counts
-    return agg.map_batches(
-        lambda t: pa.table(
-            {
-                source_col: t[source_col],
-                "n_docs": t["n_docs"].cast(pa.int64()),
-                "sum_chars": t["sum_chars"].cast(pa.int64()),
-            }
-        ),
-        batch_format="pyarrow",
+    return bucketed_sum(
+        ds.map_batches(partial, batch_format="pyarrow"), [source_col], ["n_docs", "sum_chars"]
     )
 
 
@@ -526,7 +515,7 @@ def length_histogram(
 ) -> Dataset:
     """Exact doc-length histogram over fixed bucket edges: bucket i holds
     lengths in [edges[i-1], edges[i]).  Per-batch bincount partials, then
-    a tiny groupby-sum — the whole corpus collapses to len(edges)+1 rows
+    a bucketed sum — the whole corpus collapses to len(edges)+1 rows
     before anything shuffles."""
     e = np.asarray(edges, dtype=np.int64)
 
@@ -541,21 +530,11 @@ def length_histogram(
             }
         )
 
-    from ray.data.aggregate import Sum
-
-    agg = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("bucket")
-        .aggregate(Sum("n_docs", alias_name="n_docs"))
-    )
     # partials emit every bucket per batch (bincount), so empty buckets
     # appear as zero rows — drop them to match a GROUP BY over the data
-    return agg.map_batches(
-        lambda t: pa.table(
-            {"bucket": t["bucket"], "n_docs": t["n_docs"].cast(pa.int64())}
-        ).filter(pc.greater(t["n_docs"].combine_chunks().cast(pa.int64()), 0)),
-        batch_format="pyarrow",
-    )
+    return bucketed_sum(
+        ds.map_batches(partial, batch_format="pyarrow"), ["bucket"], ["n_docs"]
+    ).map_batches(lambda t: t.filter(pc.greater(t["n_docs"], 0)), batch_format="pyarrow")
 
 
 def bigram_counts(
@@ -565,7 +544,7 @@ def bigram_counts(
     corpus-analysis pipeline). Bigrams form by pairing each flat token
     with its successor, masking pairs that cross document boundaries;
     per-batch np.unique partials shrink the shuffle to distinct bigrams
-    per batch before the groupby-sum. Ties at the boundary break by
+    per batch before the bucketed sum. Ties at the boundary break by
     bigram text ascending, so the result is deterministic."""
 
     def partial(t: pa.Table) -> pa.Table:
@@ -587,25 +566,11 @@ def bigram_counts(
             }
         )
 
-    from ray.data.aggregate import Sum
-
-    agg = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("bigram")
-        .aggregate(Sum("n", alias_name="n"))
-    )
-
-    # After the groupby every bigram appears exactly once globally, so
-    # topk's per-block prune preserves every global winner and the final
-    # sort sees (#blocks x k) rows, not the corpus-sized distinct table.
-    from hgcn_name_disambiguation_ray.stages.groupagg import topk
-
-    counts = agg.map_batches(
-        lambda t: pa.table(
-            {"bigram": t["bigram"], "n": t["n"].combine_chunks().cast(pa.int64())}
-        ),
-        batch_format="pyarrow",
-    )
+    # After the bucketed sum every bigram appears exactly once globally,
+    # so topk's per-block prune preserves every global winner and the
+    # final sort sees (#blocks x k) rows, not the corpus-sized distinct
+    # table.
+    counts = bucketed_sum(ds.map_batches(partial, batch_format="pyarrow"), ["bigram"], ["n"])
     return topk(counts, ["n", "bigram"], descending=[True, False], k=k)
 
 
@@ -616,7 +581,7 @@ def char_quantiles(
 ) -> Dataset:
     """EXACT discrete quantiles of a bounded-integer column, computed
     distributed: per-batch value counts (the corpus collapses to its
-    distinct values before anything moves), a groupby-sum over values,
+    distinct values before anything moves), a bucketed sum over values,
     then one tiny driver pass over the sorted (value, count) frame to
     read off the quantiles. Works at any corpus size whose DISTINCT
     value count is small (lengths, scores, years — the usual stats
@@ -635,13 +600,7 @@ def char_quantiles(
             {"value": pa.array(vals), "cnt": pa.array(cnts.astype(np.int64))}
         )
 
-    from ray.data.aggregate import Sum
-
-    agg = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("value")
-        .aggregate(Sum("cnt", alias_name="cnt"))
-    )
+    agg = bucketed_sum(ds.map_batches(partial, batch_format="pyarrow"), ["value"], ["cnt"])
     # the aggregated frame is len(distinct values) — tiny by assumption
     df = agg.to_pandas().sort_values("value").reset_index(drop=True)
     vals = df["value"].to_numpy(dtype=np.int64)
@@ -755,7 +714,6 @@ def token_freq_score(
     Composition of the engine's own operators: per-batch (doc, token, tf)
     partials -> corpus occurrence counts via `vocabulary` -> size-probed
     `auto_join` on the token key -> bucketed per-doc integer sums."""
-    from hgcn_name_disambiguation_ray.stages.groupagg import auto_join, bucketed_sum
 
     pairs = ds.map_batches(_tf_pairs(text_col, id_col), batch_format="pyarrow")
     occ = vocabulary(ds, text_col=text_col).map_batches(

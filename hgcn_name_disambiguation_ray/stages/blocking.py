@@ -5,9 +5,9 @@ Replaces the reference's implicit "one XML file per name" blocking
 
   1. `add_block_keys` — stateless map_batches appending the normalized
      entity-name key (M1 semantics, `openAlex_to_HGCN.py:46-91`).
-  2. `block_counts` — pre-aggregated (per-batch partial count -> tiny
-     groupby-sum) frequency stats; the ONLY full pass before the shuffle,
-     over a single projected column.
+  2. `block_counts` — pre-aggregated (per-batch partial count ->
+     bucketed sum) frequency stats; the ONLY full pass before the
+     shuffle, over a single projected column.
   3. `make_salt_map` / `AssignSalt` — hot keys (count > salt_cap) are
      split into ceil(count/salt_cap) salts by stable mention-id hash;
      the salt map holds hot keys only, so it ships inside the salt task.
@@ -32,7 +32,6 @@ import pyarrow as pa
 import ray
 
 from ray.data import Dataset
-from ray.data.aggregate import Sum
 
 from hgcn_name_disambiguation_ray.config import LinkageConfig
 from hgcn_name_disambiguation_ray.functions.hashing import (
@@ -42,6 +41,7 @@ from hgcn_name_disambiguation_ray.functions.hashing import (
     stable_hash64_array,
 )
 from hgcn_name_disambiguation_ray.functions.text import normalized_name_key
+from hgcn_name_disambiguation_ray.stages.groupagg import bucketed_count
 
 
 def add_block_keys(ds: Dataset) -> Dataset:
@@ -52,23 +52,14 @@ def add_block_keys(ds: Dataset) -> Dataset:
 
 
 def block_counts(ds: Dataset, min_count: int | None = None) -> pd.DataFrame:
-    """Per-key mention counts via partial aggregation (no row shuffle).
+    """Per-key mention counts: per-batch partial counts merged by
+    `groupagg.bucketed_sum` (no row shuffle, no Python work per key).
 
     With `min_count`, only keys with n > min_count reach the driver. At
     web scale the DISTINCT key set is itself huge (hundreds of millions of
     entity names), so salt-map construction must pass min_count=salt_cap:
     the driver then sees only the (few) hot keys, not every key."""
-
-    def partial(batch: pa.Table) -> pa.Table:
-        counts = batch.group_by("block_key").aggregate([("block_key", "count")])
-        # rename BY NAME: pyarrow's aggregate column order (keys first vs
-        # last) is version-dependent; positionally this could label the
-        # counts 'block_key' on other releases
-        ren = {"block_key_count": "n"}
-        return counts.rename_columns([ren.get(c, c) for c in counts.column_names])
-
-    partials = ds.select_columns(["block_key"]).map_batches(partial, batch_format="pyarrow")
-    out = partials.groupby("block_key").aggregate(Sum("n", alias_name="n"))
+    out = bucketed_count(ds, ["block_key"])
     if min_count is not None:
         import pyarrow.compute as pc
 
@@ -169,10 +160,7 @@ def hot_cluster_roots(
         hash_string_array,
     )
     from hgcn_name_disambiguation_ray.stages.closure import connected_components
-    from hgcn_name_disambiguation_ray.stages.groupagg import (
-        bucketed_count,
-        bucketed_group_apply,
-    )
+    from hgcn_name_disambiguation_ray.stages.groupagg import bucketed_group_apply
 
     a, b = perm_params(cfg.minhash_perms, cfg.seed)
     n_bands = cfg.lsh_bands

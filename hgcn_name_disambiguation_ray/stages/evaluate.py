@@ -19,22 +19,8 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 from ray.data import Dataset
-from ray.data.aggregate import Sum
 
-from .groupagg import bucketed_sum
-
-
-def _cell_counts(ds: Dataset, keys: list[str], out: str) -> Dataset:
-    """Pre-aggregated per-batch counts -> small groupby-sum (no row shuffle)."""
-
-    def partial(batch: pa.Table) -> pa.Table:
-        agg = batch.group_by(keys).aggregate([(keys[0], "count")])
-        # rename by name (pyarrow aggregate column order is version-dependent)
-        ren = {f"{keys[0]}_count": out}
-        return agg.rename_columns([ren.get(c, c) for c in agg.column_names])
-
-    partials = ds.select_columns(keys).map_batches(partial, batch_format="pyarrow")
-    return partials.groupby(keys).aggregate(Sum(out, alias_name=out))
+from .groupagg import bucketed_count, bucketed_sum
 
 
 def majority_assignment(labeled: Dataset) -> Dataset:
@@ -91,10 +77,10 @@ def _c2(t: pa.Table, out: str) -> pa.Table:
 
 def _block_c2_sums(labeled: Dataset, keys: list[str], out: str) -> Dataset:
     """Per-block Σ C(n_cell, 2) over the distinct-`keys` cells, computed
-    entirely distributed: per-batch partial counts -> groupby-sum cells ->
+    entirely distributed: per-batch partial counts -> bucketed-sum cells ->
     vectorized C(n,2) -> bucketed per-block sum. Result has exactly one
     row per block_key — the only thing the driver ever pulls."""
-    cells = _cell_counts(labeled, keys, "n").map_batches(
+    cells = bucketed_count(labeled, keys).map_batches(
         _c2, fn_args=(out,), batch_format="pyarrow"
     )
     return bucketed_sum(cells, ["block_key"], [out])

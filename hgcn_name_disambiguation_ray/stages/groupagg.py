@@ -6,10 +6,22 @@ thousands of groups, pathological for millions (the reduce tasks become
 a per-row Python merge). The engine's workaround is the classic bucket
 pattern (the same trick the blocking stage uses for hot keys, SURVEY.md
 §4): hash the group key into `n_buckets` partitions, shuffle by the
-SMALL bucket key, and run the real aggregation VECTORIZED (pandas
-groupby) inside each bucket partition. Exactness is preserved — every
-row of a group lands in the same bucket — while the Ray-level group
-count drops from |distinct keys| to `n_buckets`.
+SMALL bucket key, and run the real aggregation VECTORIZED (an Arrow or
+pandas groupby) inside each bucket partition. Exactness is preserved —
+every row of a group lands in the same bucket — while the Ray-level
+group count drops from |distinct keys| to `n_buckets`.
+
+The rule: no Ray `groupby(...).aggregate(...)` anywhere. A keyed count
+or sum is a per-batch partial (an Arrow `group_by`, `np.unique` or
+`bincount` inside `map_batches`) merged by `bucketed_sum` (`bucketed_count`
+packages the count); min/max merge through `bucketed_group_apply`.
+Measured at 4 Ray CPUs over 32 input blocks, Ray's `aggregate(Sum)`
+against `bucketed_sum` on the same partial rows: 2.5-2.9 s vs 1.2-1.4 s
+at 1,000 keys, 27-29 s vs 1.4-1.6 s at 15,000 and 157-166 s vs 1.6 s at
+100,000 — Ray's cost grows with the key count, the bucketed merge's
+barely does. `block_counts` over 100,000 keys that each occur in all 32
+blocks, 4 Ray CPUs on a one-core machine: 96.5 s on Ray's aggregate,
+4.0 s bucketed. The fan-out is sized in one place, `n_buckets`.
 
 At cluster scale `n_buckets` should be ~4x total cores so buckets
 stay parallel and skew-tolerant; each bucket must fit a worker's heap
@@ -23,26 +35,40 @@ from collections.abc import Callable
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 from ray.data import Dataset
 
-from hgcn_name_disambiguation_ray.functions.hashing import stable_hash64_array
+from hgcn_name_disambiguation_ray.functions.hashing import (
+    hash_string_array,
+    stable_hash64_array,
+)
 
 
 _MIX = np.uint64(0x9E3779B97F4A7C15)
+# nulls of a key column form one group, so every batch must send them to
+# the same bucket whatever the column's type
+_NULL_HASH = np.uint64(0x6E75_6C6C)
 
 
-def _bucket_of(df: pd.DataFrame, keys: list[str], n_buckets: int) -> np.ndarray:
-    """Vectorized bucket assignment; integer keys mix numerically (no
-    per-row string building), everything else hashes via blake2b."""
-    h = np.full(len(df), np.uint64(0x51_7C_C1_B7), dtype=np.uint64)
+def _bucket_of(t: pa.Table, keys: list[str], n_buckets: int) -> np.ndarray:
+    """Vectorized bucket assignment from each key column's Arrow values,
+    so a key hashes the same in every batch: integer keys mix
+    numerically (through pandas, an int column holding a null turns
+    float64 and its 1 hashes as "1.0"), strings hash their buffers, other
+    types their str(); every null takes `_NULL_HASH`."""
+    h = np.full(t.num_rows, np.uint64(0x51_7C_C1_B7), dtype=np.uint64)
     for k in keys:
-        col = df[k]
-        if np.issubdtype(col.dtype, np.integer):
-            v = col.to_numpy().astype(np.uint64)
+        col = t[k]
+        if pa.types.is_integer(col.type):
+            v = pc.fill_null(col, 0).to_numpy().astype(np.uint64)
             v = (v ^ (v >> np.uint64(33))) * _MIX
             v ^= v >> np.uint64(29)
+        elif pa.types.is_string(col.type) or pa.types.is_large_string(col.type):
+            v = hash_string_array(col)
         else:
-            v = stable_hash64_array(col.astype(str).to_numpy(dtype=object))
+            v = stable_hash64_array(col.to_pandas().astype(str).to_numpy(dtype=object))
+        if col.null_count:
+            v[col.is_null().to_numpy()] = _NULL_HASH
         h = (h * _MIX) ^ v
     return (h % np.uint64(n_buckets)).astype(np.int32)
 
@@ -64,7 +90,7 @@ def bucketed_group_apply(
     """
 
     def add_bucket(t: pa.Table) -> pa.Table:
-        buckets = _bucket_of(t.select(keys).to_pandas(), keys, n_buckets)
+        buckets = _bucket_of(t, keys, n_buckets)
         return t.append_column("__bucket", pa.array(buckets, type=pa.int32()))
 
     if batch_format == "pyarrow":
@@ -77,20 +103,6 @@ def bucketed_group_apply(
     return ds.map_batches(add_bucket, batch_format="pyarrow").groupby(
         "__bucket"
     ).map_groups(per_bucket, batch_format=batch_format)
-
-
-def bucketed_count(
-    ds: Dataset, keys: list[str], out_col: str = "n", n_buckets: int = 64
-) -> Dataset:
-    """Exact `SELECT keys, count(*) FROM ds GROUP BY keys` for
-    high-cardinality keys (e.g. candidate-pair counting)."""
-
-    def count(df: pd.DataFrame) -> pd.DataFrame:
-        # dropna=False: SQL GROUP BY keeps the NULL group; pandas drops it
-        out = df.groupby(keys, as_index=False, sort=False, dropna=False).size()
-        return out.rename(columns={"size": out_col})
-
-    return bucketed_group_apply(ds, keys, count, n_buckets)
 
 
 def hash_join(
@@ -108,20 +120,21 @@ def hash_join(
     aggregator actor, so more partitions trade per-partition memory for
     fixed overhead (measured: 64 partitions is ~6x slower than 16 on a
     150k-row join) — size to data: partitions ~ input_bytes /
-    (worker_heap / 4), floored at the CPU count for parallelism."""
+    (worker_heap / 4), floored at the CPU count for parallelism.
+
+    The aggregator actors reserve no CPU. Ray's default reserves CPUs for
+    them, which starves the tasks feeding the join: at 4 CPUs two chained
+    joins finish at 4 partitions but hang at 6 or 8, and at 1 CPU a
+    single join never starts. With none reserved the chain finishes
+    (`test_chained_hash_joins_finish_on_four_cpus`)."""
     import ray
 
-    cpus = ray.cluster_resources().get("CPU", 8)
     if num_partitions is None:
-        num_partitions = max(8, int(cpus))
+        num_partitions = max(8, int(ray.cluster_resources().get("CPU", 8)))
     join_type = {"inner": "inner", "left": "left_outer", "right": "right_outer",
                  "full": "full_outer", "semi": "left_semi", "anti": "left_anti"}[how]
-    # Ray reserves half the CPUs for the join's aggregator actors; below 2
-    # CPUs that leaves the tasks feeding the join less than the one CPU
-    # each needs and the join never starts, so there they reserve none
-    aggregators = {"num_cpus": 0} if cpus < 2 else None
     return left.join(right, join_type=join_type, num_partitions=num_partitions, on=tuple(on),
-                     aggregator_ray_remote_args=aggregators)
+                     aggregator_ray_remote_args={"num_cpus": 0})
 
 
 _WORKER_CACHE: dict = {}
@@ -202,6 +215,14 @@ def auto_join(
     return hash_join(left, right_m, on=on, how=how, num_partitions=num_partitions)
 
 
+# pa -> pandas dtype map that keeps integer columns holding nulls exact
+_NULLABLE_INTS = {
+    pa.int64(): pd.Int64Dtype(),
+    pa.int32(): pd.Int32Dtype(),
+    pa.uint64(): pd.UInt64Dtype(),
+}.get
+
+
 def asof_join(
     left: Dataset,
     right: Dataset,
@@ -231,7 +252,7 @@ def asof_join(
 
     def tag(side: str):
         def add(t: pa.Table) -> pa.Table:
-            buckets = _bucket_of(t.select(by).to_pandas(), by, n_buckets)
+            buckets = _bucket_of(t, by, n_buckets)
             return t.append_column("__bucket", pa.array(buckets, type=pa.int32())).append_column(
                 "__side", pa.array([side] * t.num_rows, type=pa.string())
             )
@@ -268,13 +289,7 @@ def asof_join(
         # the other side's columns as nulls, and a plain to_pandas routes
         # int64-with-nulls through float64, silently rounding 64-bit
         # values above 2^53 (hashes, wide ids) before we ever see them
-        g = t.to_pandas(
-            types_mapper={
-                pa.int64(): pd.Int64Dtype(),
-                pa.int32(): pd.Int32Dtype(),
-                pa.uint64(): pd.UInt64Dtype(),
-            }.get
-        ).drop(columns="__bucket")
+        g = t.to_pandas(types_mapper=_NULLABLE_INTS).drop(columns="__bucket")
         l = g[g["__side"] == "l"].drop(columns="__side")[lcols].sort_values(on, kind="stable")
         # sort right on (on, *rcols) so equal-`on` duplicates resolve to the
         # max rcols tuple deterministically (merge_asof picks the last row)
@@ -357,7 +372,7 @@ def range_join(
 
     def tag(side: str):
         def add(t: pa.Table) -> pa.Table:
-            buckets = _bucket_of(t.select(keys).to_pandas(), keys, n_buckets)
+            buckets = _bucket_of(t, keys, n_buckets)
             return t.append_column("__bucket", pa.array(buckets, type=pa.int32())).append_column(
                 "__side", pa.array([side] * t.num_rows, type=pa.string())
             )
@@ -387,14 +402,18 @@ def range_join(
     both = it.union(pt)
     out_pcols = [c for c in pcols if c not in by]
 
-    def merge(g: pd.DataFrame) -> pd.DataFrame:
+    def merge(t: pa.Table) -> pd.DataFrame:
+        # nullable integer dtypes, as in asof_join: each side's rows carry
+        # the other side's columns as nulls, which a plain to_pandas turns
+        # float64 (rounding values above 2^53)
+        g = t.to_pandas(types_mapper=_NULLABLE_INTS)
         i = g[g["__side"] == "i"][icols + ["__win"]]
         p = g[g["__side"] == "p"][by + ["__win"] + out_pcols]
         out = i.merge(p, on=by + ["__win"], how="inner").drop(columns="__win")
         keep = (out[start] <= out[at]) & (out[at] <= out[end])
         return out[keep]
 
-    return both.groupby("__bucket").map_groups(merge, batch_format="pandas")
+    return both.groupby("__bucket").map_groups(merge, batch_format="pyarrow")
 
 
 def group_topk(
@@ -425,12 +444,32 @@ def group_topk(
 def bucketed_sum(
     ds: Dataset, keys: list[str], value_cols: list[str], n_buckets: int = 64
 ) -> Dataset:
-    """Exact per-key sums for high-cardinality keys; column names kept."""
+    """Exact per-key sums for high-cardinality keys; column names kept.
+    Arrow sums: integer columns stay int64, and a key whose values are
+    all null sums to null, as SQL's SUM does."""
 
-    def _sum(df: pd.DataFrame) -> pd.DataFrame:
-        return df.groupby(keys, as_index=False, sort=False, dropna=False)[value_cols].sum()
+    def _sum(t: pa.Table) -> pa.Table:
+        g = t.group_by(keys, use_threads=False).aggregate([(c, "sum") for c in value_cols])
+        return g.select(keys + [f"{c}_sum" for c in value_cols]).rename_columns(keys + value_cols)
 
-    return bucketed_group_apply(ds, keys, _sum, n_buckets)
+    return bucketed_group_apply(ds, keys, _sum, n_buckets, batch_format="pyarrow")
+
+
+def bucketed_count(
+    ds: Dataset, keys: list[str], out_col: str = "n", n_buckets: int = 64
+) -> Dataset:
+    """Exact `SELECT keys, count(*) AS out_col FROM ds GROUP BY keys` for
+    high-cardinality keys: each batch counts its own keys in Arrow and
+    `bucketed_sum` adds the partials, so the shuffle moves one row per
+    (batch, key), not one per input row. As in SQL, null keys form their
+    own group."""
+
+    def partial(t: pa.Table) -> pa.Table:
+        g = t.group_by(keys, use_threads=False).aggregate([([], "count_all")])
+        return g.select(keys + ["count_all"]).rename_columns(keys + [out_col])
+
+    partials = ds.select_columns(keys).map_batches(partial, batch_format="pyarrow")
+    return bucketed_sum(partials, keys, [out_col], n_buckets)
 
 
 def hopping_window_count(
@@ -446,44 +485,29 @@ def hopping_window_count(
     n_events) with wstart in epoch micros.
 
     Streaming shape: the tile expansion (a constant x window/hop blowup)
-    and a per-batch (key, wstart) partial count happen inside
-    map_batches, so the shuffle moves pre-aggregated counts, not tiled
-    events. window_us must be a multiple of hop_us."""
+    fuses with `bucketed_count`'s per-batch (key, wstart) partial count, so
+    the shuffle moves pre-aggregated counts, not tiled events. window_us
+    must be a multiple of hop_us. Events with a null key count under a
+    null key, as SQL's GROUP BY does; a pandas groupby would drop them."""
     if window_us % hop_us:
         raise ValueError("window_us must be a multiple of hop_us")
     k = window_us // hop_us
 
-    def partial(t: pa.Table) -> pa.Table:
+    def tile(t: pa.Table) -> pa.Table:
         ts = t[ts_col].combine_chunks()
         if pa.types.is_timestamp(ts.type):
             ts = ts.cast(pa.int64())
         tsv = ts.to_numpy(zero_copy_only=False).astype(np.int64)
-        keys = t[key_col].to_numpy(zero_copy_only=False)
         # windows with start hop*i for i in [ (ts-window)//hop + 1, ts//hop ]
         i_lo = (tsv - window_us) // hop_us + 1
         starts = (
             (i_lo[:, None] + np.arange(k, dtype=np.int64)[None, :]) * hop_us
         ).ravel()
-        tiled = pd.DataFrame({key_col: np.repeat(keys, k), "wstart": starts})
-        out = tiled.groupby([key_col, "wstart"], as_index=False, sort=False).size()
-        return pa.Table.from_pandas(
-            out.rename(columns={"size": "n_events"}), preserve_index=False
-        )
+        rows = np.repeat(np.arange(t.num_rows), k)
+        return pa.table({key_col: t[key_col].take(rows), "wstart": starts})
 
-    from ray.data.aggregate import Sum
-
-    agg = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby([key_col, "wstart"])
-        .aggregate(Sum("n_events", alias_name="n_events"))
-    )
-    return agg.map_batches(
-        lambda t: t.set_column(
-            t.schema.get_field_index("n_events"),
-            "n_events",
-            t["n_events"].cast(pa.int64()),
-        ),
-        batch_format="pyarrow",
+    return bucketed_count(
+        ds.map_batches(tile, batch_format="pyarrow"), [key_col, "wstart"], "n_events"
     )
 
 

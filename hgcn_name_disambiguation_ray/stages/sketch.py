@@ -19,7 +19,7 @@ import ray
 from ray.data import Dataset
 
 from hgcn_name_disambiguation_ray.functions.hashing import _splitmix64, hash_string_array
-from hgcn_name_disambiguation_ray.stages.groupagg import hash_join, worker_cached
+from hgcn_name_disambiguation_ray.stages.groupagg import bucketed_sum, hash_join, worker_cached
 
 
 def _nlz64(x: np.ndarray) -> np.ndarray:
@@ -372,32 +372,31 @@ def kll_quantiles(
     true rank comes from an exact distributed (value -> count) CDF of the
     same column. The hard signal a driver rows-only check can grade
     without an oracle: err_milli must stay within the sketch's bound
-    (a few milli at k=256)."""
-    from ray.data.aggregate import Sum
+    (a few milli at k=256).
+
+    Nothing is pinned: the sketch pass and the CDF pass each re-run `ds`,
+    so both must see the same rows (a deterministic upstream). Their
+    value totals are compared, and a mismatch raises."""
 
     def counts(t: pa.Table) -> pa.Table:
         x = t[col].to_numpy(zero_copy_only=False).astype(np.float64)
         vals, cnts = np.unique(x[~np.isnan(x)], return_counts=True)
         return pa.table({"value": pa.array(vals), "cnt": pa.array(cnts.astype(np.int64))})
 
-    # materialize the single projected column once: the sketch pass and the
-    # exact-CDF pass below would otherwise each re-execute the upstream
-    ds = ds.select_columns([col]).materialize()
+    ds = ds.select_columns([col])
     sk = kll_sketch(ds, col, k)
     q_arr = np.asarray(qs, dtype=np.float64)
     est = sk.quantiles(q_arr)
 
     cdf = (
-        ds.select_columns([col])
-        .map_batches(counts, batch_format="pyarrow")
-        .groupby("value")
-        .aggregate(Sum("cnt", alias_name="cnt"))
+        bucketed_sum(ds.map_batches(counts, batch_format="pyarrow"), ["value"], ["cnt"])
         .to_pandas()
         .sort_values("value")
     )
     vals = cdf["value"].to_numpy(dtype=np.float64)
     cum = cdf["cnt"].to_numpy(dtype=np.int64).cumsum()
     n = int(cum[-1]) if len(cum) else 0
+    _check_passes_agree("kll_quantiles", sk.n, n)
     q_milli = np.round(q_arr * 1000).astype(np.int64)
     if n:
         # exact 1-based rank of the estimated value = #values <= est
@@ -485,23 +484,18 @@ def heavy_hitters(
     ds: Dataset,
     text_col: str = "text",
     k: int = 50,
-    snapshot: bool = True,
 ) -> pa.Table:
     """Tokens whose exact corpus count exceeds total/k, found WITHOUT a
     full token shuffle: Misra-Gries candidate pass (one small sketch row
     per batch, O(n_blocks*k) driver merge), then an exact verify pass
-    over only the <= k candidates (broadcast lookup, tiny groupby).
+    over only the <= k candidates (broadcast lookup, bucketed sum).
     Returns (token, cnt) sorted by token — exactly the SQL
     `GROUP BY token HAVING count(*) * k > total` result.
 
-    The two passes must see the SAME rows. `snapshot=True` (default)
-    materializes the projected text column so any upstream — including
-    nondeterministic stages like sampling — yields a consistent pair of
-    passes; pass `snapshot=False` for deterministic file-backed inputs
-    to keep both passes streaming instead of pinning the corpus body in
-    the object store (the 100 TB path)."""
-    from ray.data.aggregate import Sum
-
+    The two passes must see the SAME rows; their token totals are
+    compared, and a mismatch raises. Both passes stream, so nothing pins
+    the corpus body in the object store (the 100 TB path); a caller with a
+    nondeterministic upstream (e.g. sampling) passes `ds.materialize()`."""
     from hgcn_name_disambiguation_ray.functions.text import split_ws_flat
 
     def per_batch(t: pa.Table) -> pa.Table:
@@ -518,8 +512,6 @@ def heavy_hitters(
         )
 
     ds = ds.select_columns([text_col])
-    if snapshot:
-        ds = ds.materialize()
     merged = MisraGries(k)
     total = 0
     for row in ds.map_batches(per_batch, batch_format="pyarrow").take_all():
@@ -541,18 +533,31 @@ def heavy_hitters(
             pos = np.searchsorted(cands, toks)
             ok = (pos < len(cands)) & (cands[pos.clip(0, len(cands) - 1)] == toks)
             np.add.at(out, pos[ok], cnts[ok])
-        return pa.table({"token": pa.array(cands.astype(str)), "cnt": pa.array(out)})
+        n = np.zeros(len(cands), dtype=np.int64)
+        n[0] = len(flat)  # the batch's token total rides on one row
+        return pa.table(
+            {"token": pa.array(cands.astype(str)), "cnt": pa.array(out), "n": pa.array(n)}
+        )
 
-    exact = (
-        ds.map_batches(count_cands, batch_format="pyarrow")
-        .groupby("token")
-        .aggregate(Sum("cnt", alias_name="cnt"))
-        .to_pandas()  # <= k rows
-    )
+    exact = bucketed_sum(
+        ds.map_batches(count_cands, batch_format="pyarrow"), ["token"], ["cnt", "n"]
+    ).to_pandas()  # <= k rows
+    _check_passes_agree("heavy_hitters", total, int(exact["n"].sum()))
     hot = exact[exact["cnt"] * k > total].sort_values("token")
     return pa.table(
         {
             "token": pa.array(hot["token"].tolist(), pa.string()),
-            "cnt": pa.array(hot["cnt"].astype(np.int64).tolist(), pa.int64()),
+            "cnt": pa.array(hot["cnt"].tolist(), pa.int64()),
         }
     )
+
+
+def _check_passes_agree(op: str, first: int, second: int) -> None:
+    """Two-pass operators re-run their input for the second pass; other
+    rows there would silently pair pass 1's sketch with counts of a
+    different input."""
+    if first != second:
+        raise RuntimeError(
+            f"{op}: pass 1 saw {first} values but pass 2 saw {second}; "
+            "its input must yield the same rows when re-run"
+        )

@@ -56,6 +56,27 @@ def test_bucketed_sum_matches_pandas():
 
 
 @pytest.mark.usefixtures("ray_session")
+def test_bucketed_count_int_keys_with_nulls():
+    """An int64 key hashes to one bucket whether or not its batch holds a
+    null: batch [1, None, 2] and batch [1, 2, 3] give one row per key."""
+    import pyarrow as pa
+    import ray.data as rd
+
+    from hgcn_name_disambiguation_ray.stages.groupagg import bucketed_count
+
+    batches = [[1, None, 2], [1, 2, 3]]
+    ds = rd.from_arrow([pa.table({"k": pa.array(b, type=pa.int64())}) for b in batches])
+    got = bucketed_count(ds, ["k"], out_col="n").to_pandas()
+    want = pd.DataFrame({"k": sum(batches, [])}).groupby("k", dropna=False).size()
+
+    def as_dict(keys, counts) -> dict:
+        return {None if pd.isna(k) else int(k): int(n) for k, n in zip(keys, counts)}
+
+    assert len(got) == len(want)
+    assert as_dict(got["k"], got["n"]) == as_dict(want.index, want.values)
+
+
+@pytest.mark.usefixtures("ray_session")
 def test_hash_join_matches_pandas():
     import ray.data as rd
 
@@ -211,6 +232,7 @@ def test_auto_join_both_paths_match_pandas():
 
 def test_hopping_window_count(ray_session):
     import pandas as pd
+    import pyarrow as pa
     import ray.data as rd
 
     from hgcn_name_disambiguation_ray.stages.groupagg import hopping_window_count
@@ -223,13 +245,22 @@ def test_hopping_window_count(ray_session):
         {"u": 1, "t": 25},   # windows 20, 10
         {"u": 2, "t": 10},   # windows 10, 0
     ]
+    # a second batch whose int key column holds nulls: null-key events
+    # count under a null key (SQL GROUP BY), and its u=2 event joins the
+    # first batch's u=2 counts
+    nulls = pa.table({"u": pa.array([None, None, 2], pa.int64()), "t": [5, 12, 11]})
     out = hopping_window_count(
-        rd.from_pandas(pd.DataFrame(rows)), "u", "t", window_us=20, hop_us=10
+        rd.from_arrow([pa.Table.from_pylist(rows, nulls.schema), nulls]),
+        "u", "t", window_us=20, hop_us=10,
     ).to_pandas()
-    got = {(r.u, r.wstart): r.n_events for r in out.itertuples()}
+    got = {
+        (None if pd.isna(r.u) else int(r.u), int(r.wstart)): int(r.n_events)
+        for r in out.itertuples()
+    }
     assert got == {
         (1, -10): 1, (1, 0): 2, (1, 10): 2, (1, 20): 1,
-        (2, 0): 1, (2, 10): 1,
+        (2, 0): 2, (2, 10): 2,
+        (None, -10): 1, (None, 0): 2, (None, 10): 1,
     }
     import pytest
 
@@ -357,3 +388,45 @@ def test_auto_join_broadcast_runs_as_tasks(ray_session, map_calls):
     assert auto_join(left, right, on=["k"], how="inner").count() == 2
     assert auto_join(left, right, on=["k"], how="left").count() == 40
     map_calls.assert_plain_tasks()
+
+
+_CHAINED_JOINS = """
+import json
+import ray
+ray.init(address="local", num_cpus=4, include_dashboard=False, logging_level="ERROR")
+import ray.data as rd
+from ray.data import DataContext
+DataContext.get_current().enable_progress_bars = False
+from hgcn_name_disambiguation_ray.stages.groupagg import hash_join
+a = rd.from_items([{"k": k, "a": 10 + k} for k in range(64)])
+b = rd.from_items([{"k": k, "b": 20 + k} for k in range(64)])
+c = rd.from_items([{"k": k % 64, "c": k} for k in range(192)])
+ab = hash_join(a, b, on=["k"], num_partitions=8)
+rows = hash_join(ab, c, on=["k"], num_partitions=8).take_all()
+ray.shutdown()
+print(json.dumps(sorted([r["k"], r["a"], r["b"], r["c"]] for r in rows)))
+"""
+
+
+def test_chained_hash_joins_finish_on_four_cpus():
+    """Two chained 8-partition joins finish on 4 Ray CPUs. When the
+    join's aggregator actors reserved CPUs, the tasks feeding the second
+    join starved and it never finished. The run is a subprocess under a
+    timeout, so a hang fails instead of stalling. 64 keys give every
+    partition rows: an empty first block trips Ray's separate
+    `ArrowInvalid: No match ... FieldRef.Name(k)` join failure."""
+    import json
+    import os
+    import subprocess
+    import sys
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [root, os.environ.get("PYTHONPATH", "")]).rstrip(os.pathsep))
+    proc = subprocess.run(
+        [sys.executable, "-c", _CHAINED_JOINS],
+        capture_output=True, text=True, timeout=180, env=env, cwd=root,
+    )
+    assert proc.returncode == 0, proc.stderr[-3000:]
+    want = sorted([k % 64, 10 + k % 64, 20 + k % 64, k] for k in range(192))
+    assert json.loads(proc.stdout.strip().splitlines()[-1]) == want

@@ -303,3 +303,41 @@ def test_heavy_hitters_empty_and_no_hitters(ray_session):
     docs = [" ".join(toks[i : i + 20]) for i in range(0, len(toks), 20)]
     ds = rd.from_pandas(pd.DataFrame({"text": docs}))
     assert heavy_hitters(ds, k=10).num_rows == 0
+
+
+def test_two_pass_sketches_raise_when_passes_see_other_rows(ray_session, tmp_path):
+    """kll_quantiles and heavy_hitters stream their input twice and
+    compare the two passes' totals. An upstream that drops one row per
+    batch once any batch has run gives pass 2 one row fewer than pass 1:
+    both raise. Materializing pins one run of the same upstream for both
+    of heavy_hitters' passes."""
+    import os
+
+    import pandas as pd
+    import pytest
+    import ray.data as rd
+
+    from hgcn_name_disambiguation_ray.stages.sketch import heavy_hitters, kll_quantiles
+
+    def drifting(marker: str):
+        def body(t):
+            try:
+                os.close(os.open(marker, os.O_CREAT | os.O_EXCL))
+                return t  # the first batch ever run keeps its rows
+            except FileExistsError:
+                return t.slice(1)
+
+        return body
+
+    df = pd.DataFrame({"v": [float(i % 17) for i in range(90)],
+                       "text": [f"hot w{i % 11} hot" for i in range(90)]})
+    src = rd.from_pandas(df).repartition(3)
+    for op, run in (
+        ("kll_quantiles", lambda ds: kll_quantiles(ds, "v")),
+        ("heavy_hitters", lambda ds: heavy_hitters(ds, k=5)),
+    ):
+        ds = src.map_batches(drifting(str(tmp_path / op)), batch_format="pyarrow")
+        with pytest.raises(RuntimeError, match=f"{op}: pass 1 saw"):
+            run(ds)
+    ds = src.map_batches(drifting(str(tmp_path / "snapshot")), batch_format="pyarrow")
+    assert heavy_hitters(ds.materialize(), k=5)["token"].to_pylist() == ["hot"]
