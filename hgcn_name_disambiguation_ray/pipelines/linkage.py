@@ -159,8 +159,12 @@ def _merge_hot_relabel(
     """Last step of `_score_and_merge`: hot keys were split into salts, so
     sub-block LOCAL CLUSTERS merge transitively when they share >=
     cfg.cross_salt_min_signals distinct merge signals (coentity / LSH
-    band) across salts; merges never cross block keys. The root map (one
-    row per merged hot cluster, small) rides in the relabel's closure."""
+    band) across salts; merges never cross block keys. `hot_cluster_roots`
+    runs that merge in one driver pass below its signal-row gate and as
+    bucketed shuffles above it. The root map (one row per merged hot
+    cluster, small) rides in the relabel's closure as two Arrow arrays,
+    and the relabel is an Arrow batch function: `index_in` over the map's
+    keys, `take` of the roots, `coalesce` with the old id."""
     hot_keys = set(salt_map)
 
     def hot_filter(t: pa.Table) -> pa.Table:
@@ -169,24 +173,27 @@ def _merge_hot_relabel(
         return t.filter(pc.is_in(t["block_key"], value_set=pa.array(sorted(hot_keys))))
 
     hot_clusters = clusters.map_batches(hot_filter, batch_format="pyarrow")
-    roots_df = hot_cluster_roots(
+    roots = pa.concat_tables(ray.get(hot_cluster_roots(
         hot_clusters, cfg, min_signals=cfg.cross_salt_min_signals
-    ).to_pandas()
-    if roots_df.empty:
+    ).to_arrow_refs()))
+    if roots.num_rows == 0:
         # no hot cluster merged (e.g. a shard holding none of the run's hot
-        # keys); the empty result carries no columns, and relabel is a no-op
+        # keys): relabel would be a no-op
         return clusters.select_columns(out_cols)
-    root_map = dict(zip(roots_df["cluster_id"], roots_df["root"]))
+    src = roots["cluster_id"].combine_chunks()
+    dst = roots["root"].combine_chunks()
 
-    def relabel(df: pd.DataFrame) -> pd.DataFrame:
-        df = df[out_cols].copy()
-        # vectorized: only hot-key clusters can appear in the root map,
-        # so map + where beats a per-row Python closure over the corpus
-        m = df["cluster_id"].map(root_map)
-        df["cluster_id"] = m.where(m.notna(), df["cluster_id"])
-        return df
+    def relabel(t: pa.Table) -> pa.Table:
+        import pyarrow.compute as pc
 
-    return clusters.map_batches(relabel, batch_format="pandas")
+        t = t.select(out_cols)
+        # only hot-key clusters are in the map: a miss takes a null index,
+        # so `take` gives null and the old id stays
+        cid = t["cluster_id"]
+        new = pc.coalesce(pc.take(dst, pc.index_in(cid, value_set=src)), cid)
+        return t.set_column(t.schema.get_field_index("cluster_id"), "cluster_id", new)
+
+    return clusters.map_batches(relabel, batch_format="pyarrow")
 
 
 def run_linkage(
@@ -449,6 +456,9 @@ def write_clusters(clusters: Dataset, out_dir: str) -> None:
 
         from hgcn_name_disambiguation_ray.functions.hashing import stable_hash64_array
 
+        # the scorer emits one chunk per (block_key, salt) group; the
+        # partitioned write is faster over one contiguous chunk per column
+        batch = batch.combine_chunks()
         keys = np.asarray(batch["block_key"].to_pandas(), dtype=object)
         pref = (stable_hash64_array(keys) % 64).astype(np.int32)
         return batch.append_column("block_prefix", pa.array(pref, type=pa.int32()))

@@ -18,10 +18,14 @@ Replaces the reference's implicit "one XML file per name" blocking
      signal, Ga) and MinHash/LSH bands over their stemmed-token union
      (the scale generalization of the ∩>=2-stemmed-token rule,
      `:420-424`). Clusters of the same hot key sharing >= 2 distinct
-     signals across salts merge transitively (per-key union-find over
-     cluster REPRESENTATIVES, one shuffle). Partitioning assumption
-     documented here: two sub-blocks of the same hot key are the same
-     entity iff they share a coentity or an LSH band.
+     signals across salts merge transitively (union-find over cluster
+     REPRESENTATIVES). The merge's cost follows the hot volume: at or
+     below HOT_MERGE_LOCAL_MAX_ROWS signal rows it is one driver pass
+     whose pair table holds at most rows x (hot_signal_max_members - 1)
+     / 2 pairs (~1M at the defaults); above it, two bucketed shuffles.
+     Either way the closure is `closure.connected_components`.
+     Partitioning assumption documented here: two sub-blocks of the same
+     hot key are the same entity iff they share a coentity or an LSH band.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ import pandas as pd
 import pyarrow as pa
 import ray
 
-from ray.data import Dataset
+from ray.data import Dataset, from_arrow
 
 from hgcn_name_disambiguation_ray.config import LinkageConfig
 from hgcn_name_disambiguation_ray.functions.hashing import (
@@ -122,11 +126,44 @@ _SIG_COENT = np.uint64(0xA5A5_5A5A_DEAD_BEEF)
 _SIG_BAND = np.uint64(0xC3C3_3C3C_1729_1729)
 _MIX = np.uint64(0x9E3779B97F4A7C15)
 
+# At or below this many representative signal rows the cross-salt merge
+# runs in one driver pass. A signal group of m <= hot_signal_max_members
+# rows yields m(m-1)/2 pairs and a larger one star-bounds to m-1, so the
+# pair table holds at most rows x (hot_signal_max_members - 1) / 2 pairs:
+# ~1.04M at the default 256, half of closure.LOCAL_CLOSURE_MAX_EDGES (so
+# the closure stays in the driver too), from a self-join of at most
+# rows x hot_signal_max_members (~2.1M) rows. That worst case (32 signals
+# of 256 members) peaks at 164 MB of driver memory for the expansion and
+# count. Above it, two bucketed shuffles spread the same work over the
+# cluster.
+HOT_MERGE_LOCAL_MAX_ROWS = 8_192
+
+_SIGNAL_SCHEMA = pa.schema(
+    [
+        ("block_key", pa.string()),
+        ("salt", pa.int32()),
+        ("cluster_id", pa.string()),
+        ("signal", pa.uint64()),
+    ]
+)
+ROOTS_SCHEMA = pa.schema([("cluster_id", pa.string()), ("root", pa.string())])
+
+
+def _collect(ds: Dataset, schema: pa.Schema) -> pa.Table:
+    """A small Dataset as one driver-side table of `schema`. Blocks with
+    no rows are skipped (Ray may hand those over without columns), so an
+    empty result is still typed."""
+    tables = [t for t in ray.get(ds.to_arrow_refs()) if t.num_rows]
+    if not tables:
+        return schema.empty_table()
+    return pa.concat_tables([t.select(schema.names).cast(schema) for t in tables])
+
 
 def hot_cluster_roots(
     hot_clusters: Dataset, cfg: LinkageConfig, min_signals: int = 2
 ) -> Dataset:
-    """(cluster_id, root) canonical map for hot-key sub-block clusters.
+    """(cluster_id, root) canonical map for hot-key sub-block clusters,
+    typed as ROOTS_SCHEMA (also when nothing merges).
 
     Semantics: two local clusters of the same hot key merge iff they share
     >= `min_signals` distinct merge signals — a coentity (the co-author
@@ -136,24 +173,32 @@ def hot_cluster_roots(
     cluster id. A single coincidentally shared signal is not enough,
     protecting precision under closure.
 
-    Dataflow (r2 finding #1 fixed: no per-hot-key Ray dispatch, no
-    Python-quadratic signal expansion):
+    Dataflow (no per-hot-key Ray dispatch, no Python-quadratic signal
+    expansion):
 
       1. per batch, vectorized: one representative row per local cluster,
          exploded to (block_key, salt, cluster_id, signal:uint64) rows —
-         coentity hashes + minhash band keys, all from Arrow buffers;
-      2. bucketed shuffle by hash(block_key, signal): per signal group,
-         keep only groups spanning >= 2 salts and expand cluster pairs
-         vectorized (self-merge for small groups; signals with more than
-         `cfg.hot_signal_max_members` members are promiscuous — "published
-         on facebook.com" at web scale — and are star-bounded to min-id
-         edges, a documented recall bound that keeps them linear);
-      3. bucketed count of distinct signals per (u, v); pairs reaching
+         coentity hashes + minhash band keys, all from Arrow buffers —
+         materialized once and counted;
+      2. `expand` per (block_key, signal) group: keep only groups spanning
+         >= 2 salts and expand cluster pairs vectorized (self-merge for
+         small groups; signals with more than `cfg.hot_signal_max_members`
+         members are promiscuous — "published on facebook.com" at web
+         scale — and are star-bounded to min-id edges, a documented recall
+         bound that keeps them linear);
+      3. count distinct signals per (block_key, u, v); pairs reaching
          `min_signals` become edges;
       4. transitive closure via the engine's own connected_components
-         (driver union-find below the gate, distributed star-contraction
-         above) — cluster ids never merge across block keys because every
+         (driver min-label propagation below its 2M-edge gate) to min-id
+         roots — cluster ids never merge across block keys because every
          signal carries its block_key through steps 2-3.
+
+    The gate: at or below HOT_MERGE_LOCAL_MAX_ROWS signal rows (its
+    comment states the driver-memory bound), steps 2-3 are one driver
+    pass — `expand` over the whole table, exact since every signal group
+    is complete there, then a pandas count — and step 4 takes
+    connected_components' driver path. Above it, step 2 is a 64-bucket
+    shuffle by hash(block_key, signal) and step 3 a bucketed count.
     """
     from hgcn_name_disambiguation_ray.functions.hashing import (
         _splitmix64,
@@ -164,7 +209,7 @@ def hot_cluster_roots(
 
     a, b = perm_params(cfg.minhash_perms, cfg.seed)
     n_bands = cfg.lsh_bands
-    max_members = getattr(cfg, "hot_signal_max_members", 256)
+    max_members = cfg.hot_signal_max_members
 
     def rep_signals(t: pa.Table) -> pa.Table:
         """One rep row per cluster in the batch -> exploded signal rows."""
@@ -176,16 +221,8 @@ def hot_cluster_roots(
         cid = pd.Series(t["cluster_id"].to_pandas())
         t = t.filter(pa.array((~cid.duplicated()).to_numpy()))
         n = t.num_rows
-        empty = pa.table(
-            {
-                "block_key": pa.array([], type=pa.string()),
-                "salt": pa.array([], type=pa.int32()),
-                "cluster_id": pa.array([], type=pa.string()),
-                "signal": pa.array([], type=pa.uint64()),
-            }
-        )
         if n == 0:
-            return empty
+            return _SIGNAL_SCHEMA.empty_table()
 
         with np.errstate(over="ignore"):
             # coentity signals: one per (cluster, coentity)
@@ -231,7 +268,7 @@ def hot_cluster_roots(
             }
         )
 
-    sig_rows = hot_clusters.map_batches(rep_signals, batch_format="pyarrow")
+    sig_rows = hot_clusters.map_batches(rep_signals, batch_format="pyarrow").materialize()
     gkeys = ["block_key", "signal"]
 
     def expand(df: pd.DataFrame) -> pd.DataFrame:
@@ -280,20 +317,31 @@ def hot_cluster_roots(
         outs = [o for o in outs if len(o)]
         return pd.concat(outs, ignore_index=True) if outs else empty
 
-    pairs = bucketed_group_apply(sig_rows, gkeys, expand, n_buckets=64)
-    counted = bucketed_count(pairs, ["block_key", "u", "v"], out_col="n_signals")
-
-    def threshold(t: pa.Table) -> pa.Table:
+    def to_roots(t: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
 
-        keep = pc.greater_equal(t["n_signals"], min_signals)
-        return t.filter(keep).select(["u", "v"])
+        t = t.filter(pc.not_equal(t["mention_id"], t["component"]))
+        return pa.table(
+            {"cluster_id": t["mention_id"], "root": t["component"]}
+        ).cast(ROOTS_SCHEMA)
 
-    edges = counted.map_batches(threshold, batch_format="pyarrow")
-    comps = connected_components(edges)
+    if sig_rows.count() <= HOT_MERGE_LOCAL_MAX_ROWS:
+        pairs = expand(_collect(sig_rows, _SIGNAL_SCHEMA).to_pandas())
+        n_signals = pairs.groupby(["block_key", "u", "v"], sort=False).size()
+        edges = n_signals[n_signals >= min_signals].reset_index()
+        edges = from_arrow(
+            pa.table({c: pa.array(edges[c], type=pa.string()) for c in ("u", "v")})
+        )
+    else:
+        pairs = bucketed_group_apply(sig_rows, gkeys, expand, n_buckets=64)
+        counted = bucketed_count(pairs, ["block_key", "u", "v"], out_col="n_signals")
 
-    def to_roots(df: pd.DataFrame) -> pd.DataFrame:
-        out = pd.DataFrame({"cluster_id": df["mention_id"], "root": df["component"]})
-        return out[out["cluster_id"] != out["root"]]
+        def threshold(t: pa.Table) -> pa.Table:
+            import pyarrow.compute as pc
 
-    return comps.map_batches(to_roots, batch_format="pandas")
+            keep = pc.greater_equal(t["n_signals"], min_signals)
+            return t.filter(keep).select(["u", "v"])
+
+        edges = counted.map_batches(threshold, batch_format="pyarrow")
+    roots = connected_components(edges).map_batches(to_roots, batch_format="pyarrow")
+    return from_arrow(_collect(roots, ROOTS_SCHEMA))

@@ -30,6 +30,18 @@ def test_block_counts_min_count_returns_only_hot_keys():
     assert len(full) == 201
 
 
+@pytest.fixture(params=["driver", "bucketed"])
+def merge_path(request, monkeypatch):
+    """Run a test on both hot-merge paths: the driver pass below the
+    signal-row gate, and the bucketed shuffles with the gate forced off
+    (-1, so that even an empty signal table takes the bucketed path)."""
+    from hgcn_name_disambiguation_ray.stages import blocking
+
+    if request.param == "bucketed":
+        monkeypatch.setattr(blocking, "HOT_MERGE_LOCAL_MAX_ROWS", -1)
+    return request.param
+
+
 def _hot_clusters_table(n_salts, clusters_per_salt, coents_fn, toks_fn, key="john smith"):
     rows = []
     for s in range(n_salts):
@@ -46,7 +58,7 @@ def _hot_clusters_table(n_salts, clusters_per_salt, coents_fn, toks_fn, key="joh
     return pd.DataFrame(rows)
 
 
-@pytest.mark.usefixtures("ray_session")
+@pytest.mark.usefixtures("ray_session", "merge_path")
 def test_hot_cluster_roots_merges_on_shared_signals():
     """Clusters of one hot key sharing >= 2 coentity signals across salts
     merge to the min cluster id; a single shared signal does not merge."""
@@ -72,13 +84,14 @@ def test_hot_cluster_roots_merges_on_shared_signals():
     assert not any(cid.endswith("0001") or cid.endswith("0002") for cid in merged)
 
 
-@pytest.mark.usefixtures("ray_session")
+@pytest.mark.usefixtures("ray_session", "merge_path")
 def test_hot_cluster_roots_webscale_promiscuous_signal_stress():
-    """The 'john smith at web scale' case (r2 finding #1): one key, 64
-    salts, thousands of sub-clusters sharing POPULAR signals. The old
-    per-key map_groups + O(members^2)-per-signal expansion explodes here;
-    the bucketed path must finish fast, star-bound the promiscuous
-    signals, and still merge the clusters that share them."""
+    """The 'john smith at web scale' case: one key, 64 salts, thousands
+    of sub-clusters sharing POPULAR signals. A per-key map_groups +
+    O(members^2)-per-signal expansion explodes here; the bucketed path
+    (and the driver pass below the gate, 7,680 signal rows here) must
+    finish fast, star-bound the promiscuous signals, and still merge the
+    clusters that share them."""
     import time
 
     import ray.data as rd
@@ -110,7 +123,7 @@ def test_hot_cluster_roots_webscale_promiscuous_signal_stress():
     assert set(merged.values()) == {root}
 
 
-@pytest.mark.usefixtures("ray_session")
+@pytest.mark.usefixtures("ray_session", "merge_path")
 def test_hot_cluster_roots_never_crosses_block_keys():
     import ray.data as rd
 
@@ -127,3 +140,27 @@ def test_hot_cluster_roots_never_crosses_block_keys():
     ).to_pandas()
     for cid, root in zip(out["cluster_id"], out["root"]):
         assert cid.split("|")[0] == root.split("|")[0]
+
+
+@pytest.mark.usefixtures("ray_session", "merge_path")
+@pytest.mark.parametrize("case", ["no_hot_cluster", "no_qualifying_edge"])
+def test_hot_cluster_roots_typed_when_nothing_merges(case):
+    """A shard with no hot cluster, and a hot set whose clusters share
+    fewer than min_signals signals, both give an empty (cluster_id:
+    string, root: string) table, not a column-less one."""
+    import pyarrow as pa
+    import ray
+    import ray.data as rd
+
+    from hgcn_name_disambiguation_ray.config import LinkageConfig
+    from hgcn_name_disambiguation_ray.stages.blocking import ROOTS_SCHEMA, hot_cluster_roots
+
+    df = _hot_clusters_table(3, 2, lambda s, c: [f"only{c}", f"uniq{s}_{c}"], lambda s, c: [])
+    table = pa.Table.from_pandas(df, preserve_index=False)
+    if case == "no_hot_cluster":
+        table = table.slice(0, 0)
+    out = hot_cluster_roots(rd.from_arrow(table), LinkageConfig())
+    roots = pa.concat_tables(ray.get(out.to_arrow_refs()))
+    assert roots.num_rows == 0
+    assert roots.schema == ROOTS_SCHEMA
+    assert out.schema().base_schema == ROOTS_SCHEMA

@@ -449,6 +449,43 @@ def test_linkage_runs_without_actor_pools(ray_session, small_fixture, map_calls)
     map_calls.assert_plain_tasks()
 
 
+def test_hot_merge_paths_give_identical_clusters(ray_session, small_fixture, monkeypatch):
+    """The driver merge below the signal-row gate and the bucketed
+    shuffles above it give the same cluster ids on the salted fixture."""
+    import ray.data as rd
+
+    from hgcn_name_disambiguation_ray.config import LinkageConfig
+    from hgcn_name_disambiguation_ray.pipelines.linkage import run_linkage
+    from hgcn_name_disambiguation_ray.stages import blocking
+
+    pages = rd.from_arrow(small_fixture["pages"])
+    runs = []
+    for gate in (blocking.HOT_MERGE_LOCAL_MAX_ROWS, -1):
+        monkeypatch.setattr(blocking, "HOT_MERGE_LOCAL_MAX_ROWS", gate)
+        df = run_linkage(pages, LinkageConfig(salt_cap=40)).to_pandas()
+        assert df["salt"].max() > 0
+        runs.append(sorted(zip(df["mention_id"], df["cluster_id"])))
+    assert runs[0] == runs[1]
+
+
+def test_salted_linkage_plans_no_pandas_batches(ray_session, small_fixture, map_calls):
+    """Below the hot-merge gate, the salted linkage (salt step, scorer,
+    hot-cluster merge, relabel) runs every batch and group function on
+    Arrow: no map_batches or map_groups call asks for pandas."""
+    import ray.data as rd
+
+    from hgcn_name_disambiguation_ray.config import LinkageConfig
+    from hgcn_name_disambiguation_ray.pipelines.linkage import run_linkage
+
+    pages = rd.from_arrow(small_fixture["pages"])
+    out = run_linkage(pages, LinkageConfig(salt_cap=40)).to_pandas()
+    assert out["salt"].max() > 0
+    names = [getattr(fn, "__name__", "") for fn, _ in map_calls]
+    assert {"rep_signals", "relabel"} <= set(names), names
+    pandas_fns = [n for n, (_, kw) in zip(names, map_calls) if kw.get("batch_format") == "pandas"]
+    assert not pandas_fns, pandas_fns
+
+
 _ONE_CPU_RUN = """
 import json, sys
 import ray
