@@ -476,7 +476,7 @@ def clusters_json_summary(clusters: Dataset, max_rows: int = 100_000) -> dict:
     this raises rather than silently pulling a web-scale result onto the
     driver: callers must pass an explicit larger `max_rows` to override."""
     # materialize once: count() would otherwise execute the lazy lineage
-    # for the gate and the groupby below would execute it a second time
+    # for the gate and the pull below would execute it a second time
     clusters = clusters.materialize()
     n = clusters.count()
     if n > max_rows:
@@ -485,24 +485,17 @@ def clusters_json_summary(clusters: Dataset, max_rows: int = 100_000) -> dict:
             f"{n} rows > max_rows={max_rows}. Use write_clusters (partitioned "
             f"parquet) for large outputs, or pass max_rows explicitly."
         )
-
-    def per_block(g: pd.DataFrame) -> pd.DataFrame:
-        by_cluster: dict[str, list[str]] = {}
-        for mid, cid in zip(g["mention_id"], g["cluster_id"]):
-            by_cluster.setdefault(cid, []).append(mid)
-        ordered = sorted(by_cluster.values(), key=lambda ids: min(ids))
-        return pd.DataFrame(
-            {
-                "block_key": [g["block_key"].iloc[0]] * len(ordered),
-                "cluster_index": range(len(ordered)),
-                "mention_ids": [sorted(ids) for ids in ordered],
-            }
-        )
-
-    rows = clusters.groupby("block_key").map_groups(per_block, batch_format="pandas").to_pandas()
+    if n == 0:
+        return {}
+    df = clusters.select_columns(["block_key", "cluster_id", "mention_id"]).to_pandas()
+    # one driver groupby: each cluster's sorted ids, its first id its min
+    members = df.sort_values("mention_id", kind="stable").groupby(
+        ["block_key", "cluster_id"]
+    )["mention_id"].agg(list)
     out: dict = {}
-    for bk, ci, mids in zip(rows["block_key"], rows["cluster_index"], rows["mention_ids"]):
-        out.setdefault(bk, {})[int(ci)] = list(mids)
+    for (bk, _), ids in sorted(members.items(), key=lambda kv: (kv[0][0], kv[1][0])):
+        block = out.setdefault(bk, {})
+        block[len(block)] = ids
     return out
 
 

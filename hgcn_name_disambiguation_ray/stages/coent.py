@@ -20,11 +20,10 @@ All-dataflow, no driver materialization of the entity graph:
   3. 2-hop rows: distributed hash join of the exploded mentions with
      the collaborator pairs on the shared entity (string columns only —
      Ray's hash join rejects list-typed payloads);
-  4. attach: mentions and 2-hop rows are unioned under one schema and
-     co-located by a bucketed groupby on mention_id (the sort shuffle
-     carries list columns fine, unlike the join operator); inside each
-     bucket the ext set = sorted distinct(coentities ∪ 2-hop), capped at
-     `coent_ext_max`.
+  4. attach: a `groupagg.cogroup` of the mentions and the 2-hop
+     (mention_id, y) rows on mention_id, each side keeping its own
+     columns; inside each bucket the ext set = sorted
+     distinct(coentities ∪ 2-hop), capped at `coent_ext_max`.
 
 Every shuffle is bucketed/pre-deduped, nothing returns to the driver.
 """
@@ -37,7 +36,11 @@ import pyarrow as pa
 from ray.data import Dataset
 
 from hgcn_name_disambiguation_ray.config import LinkageConfig
-from hgcn_name_disambiguation_ray.stages.groupagg import bucketed_group_apply
+from hgcn_name_disambiguation_ray.stages.groupagg import (
+    bucketed_group_apply,
+    cogroup,
+    hash_join,
+)
 
 
 def _explode_coents(t: pa.Table) -> tuple[np.ndarray, np.ndarray]:
@@ -98,8 +101,11 @@ def extend_coentities(
     mentions: Dataset, cfg: LinkageConfig | None = None, n_buckets: int = 32
 ) -> Dataset:
     """mentions -> mentions + `coentities_ext` (list<string>) column."""
-    from hgcn_name_disambiguation_ray.stages.groupagg import hash_join
-
+    if mentions.schema() is None:
+        # empty input has no schema to carry a coentities_ext column; the
+        # scorer treats a missing one as "no 2-hop signal", so passing the
+        # (empty) mentions through is exact
+        return mentions
     cfg = cfg or LinkageConfig()
     exploded = exploded_mention_entities(mentions)
     nbrs = collaborator_pairs(mentions, cfg.coent_degree_cap, n_buckets=n_buckets)
@@ -108,79 +114,20 @@ def extend_coentities(
                              batch_format="pyarrow"),
         nbrs, on=["x"],
     ).select_columns(["mention_id", "y"])
-
-    schema = mentions.schema()  # ray.data Schema: parallel .names/.types
-    if schema is None:
-        # empty input has no schema to thread through the union/merge;
-        # the scorer treats a missing coentities_ext column as "no 2-hop
-        # signal", so passing the (empty) mentions through is exact
-        return mentions
-    names = list(schema.names)
-    types = dict(zip(schema.names, schema.types))
-    out_names = names + ["coentities_ext"]
-    ext_t = pa.list_(pa.string())
-
-    def pad_mentions(t: pa.Table) -> pa.Table:
-        t = t.select(names)
-        arrs = [t[n] for n in names]
-        arrs.append(pa.nulls(t.num_rows, type=ext_t))
-        arrs.append(pa.array([0] * t.num_rows, type=pa.int8()))
-        return pa.table(dict(zip(out_names + ["__side"], arrs)))
-
-    def pad_hop(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        n = t.num_rows
-        cols = {}
-        for nm in names:
-            if nm == "mention_id":
-                cols[nm] = t["mention_id"]
-            else:
-                cols[nm] = pa.nulls(n, type=types[nm])
-        # each 2-hop entity rides as a single-element ext list (offsets
-        # 0..n over the y values — no per-row list building); the bucket
-        # merge unions them per mention
-        cols["coentities_ext"] = pa.ListArray.from_arrays(
-            pa.array(np.arange(n + 1, dtype=np.int32)),
-            pc.cast(t["y"].combine_chunks(), pa.string()),
-        )
-        cols["__side"] = pa.array([1] * n, type=pa.int8())
-        return pa.table(cols)
-
-    unioned = mentions.map_batches(pad_mentions, batch_format="pyarrow").union(
-        hop.map_batches(pad_hop, batch_format="pyarrow")
-    )
-
     ext_max = cfg.coent_ext_max
 
-    def per_bucket(t: pa.Table) -> pa.Table:
+    def per_bucket(ours: pa.Table, hops: pa.Table) -> pa.Table:
         """Union direct + 2-hop entities per mention, sorted-distinct and
         capped, assembled straight into a ListArray from flat values +
         offsets — all segmented numpy / Arrow kernels, no per-row sets."""
-        import pyarrow.compute as pc
+        from hgcn_name_disambiguation_ray.functions.text import explode_list
 
-        side = t["__side"]
-        ours = t.filter(pc.equal(side, 0))
-        hops = t.filter(pc.equal(side, 1))
         n = ours.num_rows
-        if n == 0:
-            return pa.table(
-                {**{nm: pa.array([], type=types[nm]) for nm in names},
-                 "coentities_ext": pa.array([], type=ext_t)}
-            )
-
-        def explode(tab: pa.Table, col: str) -> tuple[np.ndarray, np.ndarray]:
-            from hgcn_name_disambiguation_ray.functions.text import explode_list
-
-            flat, lens = explode_list(tab[col])
-            mids = np.repeat(
-                np.asarray(tab["mention_id"].to_pandas(), dtype=object), lens
-            )
-            return mids, flat
-
-        mid_o, ent_o = explode(ours, "coentities")
-        mid_h, ent_h = explode(hops, "coentities_ext")
+        ent_o, lens = explode_list(ours["coentities"])
         mids_ours = np.asarray(ours["mention_id"].to_pandas(), dtype=object)
+        mid_o = np.repeat(mids_ours, lens)
+        mid_h = np.asarray(hops["mention_id"].to_pandas(), dtype=object)
+        ent_h = np.asarray(hops["y"].to_pandas(), dtype=object)
         # keep='first' tolerates duplicate mention ids (re-crawled /
         # mirrored pages): reindex on a duplicate index raises ValueError;
         # each duplicate row still receives the signals of its id
@@ -201,13 +148,10 @@ def extend_coentities(
             pa.array(offsets),
             pa.array(df["e"].to_numpy(dtype=object), type=pa.string()),
         )
-        cols = {nm: ours[nm] for nm in names}
-        cols["coentities_ext"] = ext_arr
-        return pa.table(cols)
+        return ours.append_column("coentities_ext", ext_arr)
 
-    # ride the shared bucket pattern (one implementation of the bucket
-    # contract, not a hand-rolled copy that could drift)
-    return bucketed_group_apply(
-        unioned, ["mention_id"], per_bucket, n_buckets=n_buckets,
-        batch_format="pyarrow",
-    )
+    # the hop side's schema is given: asking the join for it would run the
+    # join once more (and Ray's answer lists the projected-away `x` too)
+    hop_schema = pa.schema([("mention_id", pa.string()), ("y", pa.string())])
+    return cogroup(mentions, hop, ["mention_id"], per_bucket, n_buckets=n_buckets,
+                   schemas=(mentions.schema(), hop_schema))

@@ -11,6 +11,12 @@ pandas groupby) inside each bucket partition. Exactness is preserved —
 every row of a group lands in the same bucket — while the Ray-level
 group count drops from |distinct keys| to `n_buckets`.
 
+Two primitives carry that pattern: `bucketed_group_apply` for one input,
+and `cogroup` for two (both sides co-partitioned by the same key hash,
+`apply(l, r)` once per bucket), which serves `asof_join`, `range_join`
+and the 2-hop attach in `stages/coent.py`. `hash_join` stays on Ray's
+own join.
+
 The rule: no Ray `groupby(...).aggregate(...)` anywhere. A keyed count
 or sum is a per-batch partial (an Arrow `group_by`, `np.unique` or
 `bincount` inside `map_batches`) merged by `bucketed_sum` (`bucketed_count`
@@ -37,6 +43,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 from ray.data import Dataset
+from ray.data.block import BlockAccessor
 
 from hgcn_name_disambiguation_ray.functions.hashing import (
     hash_string_array,
@@ -103,6 +110,97 @@ def bucketed_group_apply(
     return ds.map_batches(add_bucket, batch_format="pyarrow").groupby(
         "__bucket"
     ).map_groups(per_bucket, batch_format=batch_format)
+
+
+_PACKED = pa.schema(
+    [("__bucket", pa.int32()), ("__side", pa.int8()), ("__piece", pa.large_binary())]
+)
+
+
+def _unpack(pieces: pa.ChunkedArray, empty: pa.Table) -> pa.Table:
+    """One side's rows of a bucket, from its batches' IPC pieces; `empty`
+    when the side has no batch at all."""
+    tabs = [pa.ipc.open_stream(p.as_buffer()).read_all() for p in pieces]
+    if not tabs:
+        return empty
+    if all(t.schema.equals(tabs[0].schema) for t in tabs):
+        return pa.concat_tables(tabs)
+    # batches that disagree (a null-typed column, struct fields in another
+    # order, tensor shapes) unify by name as Ray's own block concat does
+    builder = BlockAccessor.for_block(tabs[0]).builder()
+    for t in tabs:
+        builder.add_block(t)
+    return builder.build()
+
+
+def _empty_of(schema) -> pa.Table:
+    """0-row table of a driver-side schema (a pa.Schema or Ray's Schema,
+    whose pandas-block types stay numpy dtypes and become null here)."""
+    if schema is None:
+        return pa.table({})
+    return pa.schema([(n, t if isinstance(t, pa.DataType) else pa.null())
+                      for n, t in zip(schema.names, schema.types)]).empty_table()
+
+
+def cogroup(
+    left: Dataset,
+    right: Dataset,
+    keys: list[str],
+    apply: Callable,
+    n_buckets: int = 64,
+    schemas: tuple | None = None,
+) -> Dataset:
+    """Exact two-input co-partition: both sides shuffle once by
+    hash(keys) % n_buckets, and `apply(l, r)` runs once per bucket on
+    every row of each side whose keys fall there. `l` and `r` are
+    pa.Tables holding only their own side's columns; either may have 0
+    rows and still carries its side's schema. `apply` returns a pa.Table
+    or pd.DataFrame and does its own per-key work, vectorized.
+
+    Each input batch packs into one row per bucket — (bucket, side, the
+    Arrow IPC stream of that bucket's slice) — so both sides share one
+    fixed schema whatever their columns: nothing is padded or cast, and
+    a side's schema reaches every bucket, even one none of its rows
+    reaches. Ray skips 0-row blocks, so a side with no rows at all
+    sends nothing; it arrives as a 0-row table of its `schemas` entry,
+    by default the side's `Dataset.schema()` (which runs the side's plan
+    up to its first block unless Ray already knows it)."""
+    empties = [_empty_of(sch) for sch in (schemas or (left.schema(), right.schema()))]
+
+    def pack(side: int) -> Callable:
+        def body(t: pa.Table) -> pa.Table:
+            if t.num_columns == 0:  # Ray's column-less empty blocks
+                return _PACKED.empty_table()
+            b = _bucket_of(t, keys, n_buckets)
+            order = np.argsort(b, kind="stable")
+            cuts = np.searchsorted(b[order], np.arange(n_buckets + 1))
+            t = t.take(order)
+            sink, offsets = pa.BufferOutputStream(), [0]
+            for lo, hi in zip(cuts[:-1], cuts[1:]):
+                with pa.ipc.new_stream(sink, t.schema) as w:
+                    w.write_table(t.slice(lo, hi - lo))
+                offsets.append(sink.tell())
+            pieces = pa.Array.from_buffers(
+                pa.large_binary(), n_buckets,
+                [None, pa.py_buffer(np.array(offsets, np.int64)), sink.getvalue()],
+            )
+            return pa.table(
+                [pa.array(np.arange(n_buckets, dtype=np.int32)),
+                 pa.array(np.full(n_buckets, side, dtype=np.int8)), pieces],
+                schema=_PACKED,
+            )
+
+        return body
+
+    def per_bucket(t: pa.Table):
+        side = t["__side"]
+        return apply(_unpack(t.filter(pc.equal(side, 0))["__piece"], empties[0]),
+                     _unpack(t.filter(pc.equal(side, 1))["__piece"], empties[1]))
+
+    packed = left.map_batches(pack(0), batch_format="pyarrow").union(
+        right.map_batches(pack(1), batch_format="pyarrow")
+    )
+    return packed.groupby("__bucket").map_groups(per_bucket, batch_format="pyarrow")
 
 
 def hash_join(
@@ -233,8 +331,8 @@ def asof_join(
 ) -> Dataset:
     """As-of join: for every left row, the latest right row with the same
     `by` keys and right[on] <= left[on] (Ray Data has no native as-of
-    join). Both sides shuffle once by hash(by) % n_buckets — equal keys
-    co-locate — then a vectorized pandas merge_asof per bucket.
+    join). Both sides co-partition by hash(by) (`cogroup`), then a
+    vectorized pandas merge_asof per bucket.
     Partitioning assumption: one `by` group's rows fit a worker (same
     bound as any keyed window); `on` must be a sortable dtype shared by
     both sides. Left rows with no match keep nulls in right columns.
@@ -250,54 +348,19 @@ def asof_join(
             "rename or pass right_cols to disambiguate"
         )
 
-    def tag(side: str):
-        def add(t: pa.Table) -> pa.Table:
-            buckets = _bucket_of(t, by, n_buckets)
-            return t.append_column("__bucket", pa.array(buckets, type=pa.int32())).append_column(
-                "__side", pa.array([side] * t.num_rows, type=pa.string())
-            )
-
-        return add
-
-    # schemas are aligned (union requires it): each side carries the other
-    # side's exclusive columns as nulls
-    lcols = [c for c in left.columns()]
-    lsch = left.schema()
-    rsch = right.schema()
-    types = dict(zip(lsch.names, lsch.types)) | dict(zip(rsch.names, rsch.types))
-
-    def pad(missing: list[str]):
-        def body(t: pa.Table) -> pa.Table:
-            for c in missing:
-                t = t.append_column(c, pa.nulls(t.num_rows, type=types[c]))
-            return t
-
-        return body
-
-    lt = left.map_batches(tag("l"), batch_format="pyarrow").map_batches(
-        pad([c for c in rcols if c not in lcols]), batch_format="pyarrow"
-    )
-    rt = right.map_batches(tag("r"), batch_format="pyarrow").map_batches(
-        pad([c for c in lcols if c not in rcols + by + [on]]),
-        batch_format="pyarrow",
-    )
-    rt = rt.select_columns(lt.columns())
-    both = lt.union(rt)
-
-    def merge(t: pa.Table) -> pd.DataFrame:
-        # convert with NULLABLE integer dtypes: the unioned bucket holds
-        # the other side's columns as nulls, and a plain to_pandas routes
-        # int64-with-nulls through float64, silently rounding 64-bit
-        # values above 2^53 (hashes, wide ids) before we ever see them
-        g = t.to_pandas(types_mapper=_NULLABLE_INTS).drop(columns="__bucket")
-        l = g[g["__side"] == "l"].drop(columns="__side")[lcols].sort_values(on, kind="stable")
+    def merge(lt: pa.Table, rt: pa.Table) -> pd.DataFrame:
+        # nullable integer dtypes: unmatched left rows get nulls in the
+        # right columns, and a plain to_pandas routes int64-with-nulls
+        # through float64, silently rounding 64-bit values above 2^53
+        # (hashes, wide ids)
+        l = lt.to_pandas(types_mapper=_NULLABLE_INTS).sort_values(on, kind="stable")
         # sort right on (on, *rcols) so equal-`on` duplicates resolve to the
         # max rcols tuple deterministically (merge_asof picks the last row)
-        r = g[g["__side"] == "r"].drop(columns="__side")[by + [on] + rcols].sort_values(
+        r = rt.select(by + [on] + rcols).to_pandas(types_mapper=_NULLABLE_INTS).sort_values(
             [on] + rcols, kind="stable"
         )
-        # merge_asof needs numpy-backed match keys; both sides' keys are
-        # non-null by construction, so the downcast is lossless
+        # merge_asof needs numpy-backed match keys; keys are non-null, so
+        # the downcast is lossless
         for c in by + [on]:
             for side in (l, r):
                 if isinstance(side[c].dtype, pd.api.extensions.ExtensionDtype):
@@ -305,12 +368,11 @@ def asof_join(
         r = r.rename(columns={on: f"{on}_right"})
         # merge_asof keeps the full output schema even for empty sides;
         # nullable payload dtypes make every bucket emit one schema
-        out = pd.merge_asof(
+        return pd.merge_asof(
             l, r, left_on=on, right_on=f"{on}_right", by=by, direction="backward"
         )
-        return out
 
-    return both.groupby("__bucket").map_groups(merge, batch_format="pyarrow")
+    return cogroup(left, right, by, merge, n_buckets)
 
 
 def range_join(
@@ -331,7 +393,7 @@ def range_join(
     Strategy: tile the domain into windows of `granularity` (pick ~ the
     typical interval length — each interval then lands in O(1) windows);
     intervals replicate into every window they overlap, points into their
-    single window; co-locate by hash(by + window) buckets and do a
+    single window; co-partition by hash(by + window) (`cogroup`) and do a
     vectorized pandas inner merge + range filter per bucket. Exact: a
     qualifying pair always shares a window; a pair never shares two
     (points live in exactly one), so no dedup pass is needed.
@@ -365,55 +427,18 @@ def range_join(
         df["__win"] = df[at] // granularity
         return pa.Table.from_pandas(df, preserve_index=False)
 
-    ivals = intervals.map_batches(tile_intervals, batch_format="pyarrow")
-    pts = points.map_batches(tile_points, batch_format="pyarrow")
-
     keys = by + ["__win"]
 
-    def tag(side: str):
-        def add(t: pa.Table) -> pa.Table:
-            buckets = _bucket_of(t, keys, n_buckets)
-            return t.append_column("__bucket", pa.array(buckets, type=pa.int32())).append_column(
-                "__side", pa.array([side] * t.num_rows, type=pa.string())
-            )
-
-        return add
-
-    icols = intervals.columns()
-    pcols = points.columns()
-    isch, psch = intervals.schema(), points.schema()
-    types = dict(zip(isch.names, isch.types)) | dict(zip(psch.names, psch.types))
-
-    def pad(missing: list[str]):
-        def body(t: pa.Table) -> pa.Table:
-            for c in missing:
-                t = t.append_column(c, pa.nulls(t.num_rows, type=types[c]))
-            return t
-
-        return body
-
-    it = ivals.map_batches(tag("i"), batch_format="pyarrow").map_batches(
-        pad([c for c in pcols if c not in icols]), batch_format="pyarrow"
-    )
-    pt = pts.map_batches(tag("p"), batch_format="pyarrow").map_batches(
-        pad([c for c in icols if c not in pcols]), batch_format="pyarrow"
-    )
-    pt = pt.select_columns(it.columns())
-    both = it.union(pt)
-    out_pcols = [c for c in pcols if c not in by]
-
-    def merge(t: pa.Table) -> pd.DataFrame:
-        # nullable integer dtypes, as in asof_join: each side's rows carry
-        # the other side's columns as nulls, which a plain to_pandas turns
-        # float64 (rounding values above 2^53)
-        g = t.to_pandas(types_mapper=_NULLABLE_INTS)
-        i = g[g["__side"] == "i"][icols + ["__win"]]
-        p = g[g["__side"] == "p"][by + ["__win"] + out_pcols]
-        out = i.merge(p, on=by + ["__win"], how="inner").drop(columns="__win")
+    def merge(it: pa.Table, pt: pa.Table) -> pd.DataFrame:
+        out = it.to_pandas().merge(pt.to_pandas(), on=keys, how="inner").drop(columns="__win")
         keep = (out[start] <= out[at]) & (out[at] <= out[end])
         return out[keep]
 
-    return both.groupby("__bucket").map_groups(merge, batch_format="pyarrow")
+    return cogroup(
+        intervals.map_batches(tile_intervals, batch_format="pyarrow"),
+        points.map_batches(tile_points, batch_format="pyarrow"),
+        keys, merge, n_buckets,
+    )
 
 
 def group_topk(

@@ -352,6 +352,100 @@ def test_range_join_rejects_overlap_and_survives_empty_blocks():
     assert len(out) == 1 and int(out["val"].iloc[0]) == 7
 
 
+def _cogroup_merge(how: str):
+    """cogroup apply: pandas merge of the two sides on k, tagged with the
+    column names each side arrived with."""
+
+    def apply(l, r):
+        out = l.to_pandas().merge(r.to_pandas(), on="k", how=how)
+        out["cols"] = ",".join(l.column_names) + "|" + ",".join(r.column_names)
+        return out
+
+    return apply
+
+
+@pytest.mark.usefixtures("ray_session")
+@pytest.mark.parametrize("n_buckets", [1, 7])
+def test_cogroup_sides_keep_their_own_columns(n_buckets):
+    """Sides that share only the key arrive with only their own columns,
+    and every key's rows of both sides meet in one bucket."""
+    import ray.data as rd
+
+    from hgcn_name_disambiguation_ray.stages.groupagg import cogroup
+
+    rng = np.random.default_rng(13)
+    left = pd.DataFrame({"k": rng.integers(0, 30, 200), "a": np.arange(200),
+                         "s": [f"s{i}" for i in range(200)]})
+    right = pd.DataFrame({"k": rng.integers(0, 30, 90), "b": np.arange(90) * 0.5})
+    got = cogroup(rd.from_pandas(left).repartition(3), rd.from_pandas(right).repartition(2),
+                  ["k"], _cogroup_merge("inner"), n_buckets).to_pandas()
+    assert set(got["cols"]) == {"k,a,s|k,b"}
+    want = left.merge(right, on="k").sort_values(["a", "b"]).reset_index(drop=True)
+    got = got.sort_values(["a", "b"]).reset_index(drop=True)[want.columns]
+    pd.testing.assert_frame_equal(got, want, check_dtype=False)
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_cogroup_empty_side_is_typed():
+    """A side with 0 rows still reaches every bucket with its schema, so
+    the output is typed whichever side is empty."""
+    import pyarrow as pa
+    import ray.data as rd
+
+    from hgcn_name_disambiguation_ray.stages.groupagg import cogroup
+
+    left = rd.from_pandas(pd.DataFrame({"k": [1, 2, 3], "a": [10, 20, 30]}))
+    empty = rd.from_arrow(pa.table({"k": pa.array([], pa.int64()),
+                                    "b": pa.array([], pa.float64())}))
+    out = cogroup(left, empty, ["k"], _cogroup_merge("left"), n_buckets=4).to_pandas()
+    assert sorted(out["a"]) == [10, 20, 30] and out["b"].isna().all()
+    assert set(out["cols"]) == {"k,a|k,b"}
+    none = cogroup(empty, left, ["k"], _cogroup_merge("inner"), n_buckets=4)
+    assert none.count() == 0
+    assert none.schema().names == ["k", "b", "a", "cols"]
+
+
+@pytest.mark.usefixtures("ray_session")
+@pytest.mark.parametrize("padded", ["left", "right", "both"])
+def test_cogroup_survives_column_less_empty_blocks(padded):
+    """repartition pads a 1-row dataset with column-less empty blocks;
+    those carry no rows and no schema, on either side."""
+    import ray.data as rd
+
+    from hgcn_name_disambiguation_ray.stages.groupagg import cogroup
+
+    left = rd.from_pandas(pd.DataFrame({"k": [1], "a": [7]}))
+    right = rd.from_pandas(pd.DataFrame({"k": [1], "b": [9]}))
+    if padded in ("left", "both"):
+        left = left.repartition(4)
+    if padded in ("right", "both"):
+        right = right.repartition(4)
+    out = cogroup(left, right, ["k"], _cogroup_merge("inner"), n_buckets=4).to_pandas()
+    assert out[["k", "a", "b"]].values.tolist() == [[1, 7, 9]]
+    assert set(out["cols"]) == {"k,a|k,b"}
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_cogroup_unpacks_reordered_struct_fields_by_name():
+    """Batches of one side whose struct column lists its fields in another
+    order meet in one bucket; their rows unify by field name."""
+    import pyarrow as pa
+    import ray.data as rd
+
+    from hgcn_name_disambiguation_ray.stages.groupagg import cogroup
+
+    def side(ks, fields):
+        cols = {"a": pa.array([k * 10 for k in ks]), "b": pa.array([f"b{k}" for k in ks])}
+        return pa.table({"k": ks, "s": pa.StructArray.from_arrays(
+            [cols[f] for f in fields], names=fields)})
+
+    right = rd.from_arrow([side([1, 2], ["a", "b"]), side([3, 1], ["b", "a"])])
+    left = rd.from_pandas(pd.DataFrame({"k": [1, 2, 3]}))
+    out = cogroup(left, right, ["k"], lambda l, r: r.flatten(), n_buckets=1).to_pandas()
+    got = sorted(zip(out["k"], out["s.a"], out["s.b"]))
+    assert got == [(1, 10, "b1"), (1, 10, "b1"), (2, 20, "b2"), (3, 30, "b3")]
+
+
 def test_worker_cached_builds_once_and_evicts_oldest(monkeypatch):
     """No Ray session: build runs once per key, and past _WORKER_CACHE_MAX
     entries the oldest key is dropped (so it is built again on its next
