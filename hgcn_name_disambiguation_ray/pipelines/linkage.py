@@ -92,6 +92,12 @@ CLUSTERS_SCHEMA = pa.schema(
     ]
 )
 OUT_COLS = CLUSTERS_SCHEMA.names
+# the mention columns BlockScorer reads; coentities_ext only exists (and
+# is only read) in the cross_merge="title" regime
+SCORER_INPUT_COLUMNS = [
+    "block_key", "mention_id", "coentities", "host", "tokens", "tokens_stemmed",
+    "coentities_ext",
+]
 
 
 def extract_mentions(pages: Dataset, cfg: LinkageConfig | None = None) -> Dataset:
@@ -275,9 +281,15 @@ def _score_and_merge(
     lineage) -> cross-salt merge when any key was salted. Output columns
     are CLUSTERS_SCHEMA's. `w2v_ref` is the run's `_w2v_blob_ref(cfg)`,
     put once per run so that every shard keys the same cached scorer."""
+    # only the columns the scorer reads enter the shuffle (url, name,
+    # title and year would be about 31 % of its bytes)
+    inputs, schema = mentions, mentions.schema()
+    if schema is not None:
+        inputs = mentions.select_columns(
+            [c for c in SCORER_INPUT_COLUMNS if c in schema.names])
     # an AssignSalt INSTANCE runs as a plain task fused with its neighbours
     # (the salt map holds hot keys only and travels in the closure)
-    salted = mentions.map_batches(AssignSalt(salt_map), batch_format="pyarrow")
+    salted = inputs.map_batches(AssignSalt(salt_map), batch_format="pyarrow")
     salted = salted.repartition(_scorer_parts(mentions.count(), cfg))
     # a task, not an actor pool: each worker builds the scorer (and fetches
     # the model) once, and keeps it across tasks and run_linkage_sharded's shards

@@ -19,13 +19,15 @@ All-dataflow, no driver materialization of the entity graph:
      mirroring the experiment that fitted the regime);
   3. 2-hop rows: distributed hash join of the exploded mentions with
      the collaborator pairs on the shared entity (string columns only —
-     Ray's hash join rejects list-typed payloads);
+     Ray's hash join rejects list-typed payloads), skipped when there
+     is no pair;
   4. attach: a `groupagg.cogroup` of the mentions and the 2-hop
      (mention_id, y) rows on mention_id, each side keeping its own
      columns; inside each bucket the ext set = sorted
      distinct(coentities ∪ 2-hop), capped at `coent_ext_max`.
 
-Every shuffle is bucketed/pre-deduped, nothing returns to the driver.
+Every shuffle is bucketed/pre-deduped; only the pair count returns to the
+driver (a corpus with no collaborator pair skips the join).
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import ray.data as rd
 from ray.data import Dataset
 
 from hgcn_name_disambiguation_ray.config import LinkageConfig
@@ -107,13 +110,21 @@ def extend_coentities(
         # (empty) mentions through is exact
         return mentions
     cfg = cfg or LinkageConfig()
-    exploded = exploded_mention_entities(mentions)
-    nbrs = collaborator_pairs(mentions, cfg.coent_degree_cap, n_buckets=n_buckets)
-    hop = hash_join(
-        exploded.map_batches(lambda t: t.rename_columns(["mention_id", "x"]),
-                             batch_format="pyarrow"),
-        nbrs, on=["x"],
-    ).select_columns(["mention_id", "y"])
+    # the hop side's schema is given: asking the join for it would run the
+    # join once more (and Ray's answer lists the projected-away `x` too)
+    hop_schema = pa.schema([("mention_id", pa.string()), ("y", pa.string())])
+    # the pairs stay in the object store; only their row count reaches the
+    # driver. With no pair there is no 2-hop row, and Ray's hash join
+    # raises ArrowInvalid on an empty side (ROADMAP C8), so it is skipped
+    nbrs = collaborator_pairs(mentions, cfg.coent_degree_cap, n_buckets=n_buckets).materialize()
+    if nbrs.count() == 0:
+        hop = rd.from_arrow(hop_schema.empty_table())
+    else:
+        hop = hash_join(
+            exploded_mention_entities(mentions).map_batches(
+                lambda t: t.rename_columns(["mention_id", "x"]), batch_format="pyarrow"),
+            nbrs, on=["x"],
+        ).select_columns(["mention_id", "y"])
     ext_max = cfg.coent_ext_max
 
     def per_bucket(ours: pa.Table, hops: pa.Table) -> pa.Table:
@@ -150,8 +161,5 @@ def extend_coentities(
         )
         return ours.append_column("coentities_ext", ext_arr)
 
-    # the hop side's schema is given: asking the join for it would run the
-    # join once more (and Ray's answer lists the projected-away `x` too)
-    hop_schema = pa.schema([("mention_id", pa.string()), ("y", pa.string())])
     return cogroup(mentions, hop, ["mention_id"], per_bucket, n_buckets=n_buckets,
                    schemas=(mentions.schema(), hop_schema))

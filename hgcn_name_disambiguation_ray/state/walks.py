@@ -16,9 +16,24 @@ Semantics preserved:
   * each step: one positive (start, neighbor), `negative_num` negatives,
     a 2-hop lookahead positive in the next metapath layer with its own
     negatives, then advance; dead-end layers emit negatives only.
+
+Pooled uniforms. The walk loop makes tens of thousands of alias draws per
+block, two uniforms each, so it never calls the generator per draw. It
+draws uniforms in `rng.random(65536)` chunks, the first one on entry and
+each further one only when the loop reads past the last, and reads a
+chunk through 1024-value `tolist()` slices: Python floats are the same
+doubles, and the alias tables are Python lists too, so a draw is a few
+list reads and no numpy call. A whole chunk is not converted at once,
+because most web blocks read only a few of its values. The generator
+thus makes the same calls, in the same order, as a walk that read one
+chunk value per uniform, and the `draw_many` negatives and the final
+permutation that follow it see the same stream;
+`tests/test_walks.py` pins the triples by digest.
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -26,66 +41,37 @@ from hgcn_name_disambiguation_ray.config import LinkageConfig
 
 
 class AliasTable:
-    """Walker's alias method: O(n) build, O(1) draws. Public algorithm."""
+    """Walker's alias method: O(n) build, O(1) draws. Public algorithm.
 
-    __slots__ = ("idx", "prob", "alias")
+    The table is built over Python floats (the same IEEE doubles numpy
+    holds) and kept as lists, which the walk loop reads directly."""
+
+    __slots__ = ("n", "idx", "prob", "alias")
 
     def __init__(self, weights: np.ndarray, idx: np.ndarray):
         p = weights / weights.sum()
         n = len(p)
-        self.idx = idx
-        scaled = p * n
-        self.prob = np.ones(n)
-        self.alias = np.arange(n)
+        scaled = (p * n).tolist()
+        prob = [1.0] * n
+        alias = list(range(n))
         small = [i for i in range(n) if scaled[i] < 1.0]
         large = [i for i in range(n) if scaled[i] >= 1.0]
-        scaled = scaled.copy()
         while small and large:
             s, l = small.pop(), large.pop()
-            self.prob[s] = scaled[s]
-            self.alias[s] = l
+            prob[s] = scaled[s]
+            alias[s] = l
             scaled[l] = scaled[l] - (1.0 - scaled[s])
             (small if scaled[l] < 1.0 else large).append(l)
-
-    def draw(self, rng: np.random.Generator) -> int:
-        n = len(self.prob)
-        i = int(rng.integers(0, n))
-        return int(self.idx[i]) if rng.random() < self.prob[i] else int(self.idx[self.alias[i]])
-
-    def draw_pooled(self, pool: "UniformPool") -> int:
-        u1, u2 = pool.next2()
-        i = int(u1 * len(self.prob))
-        return int(self.idx[i]) if u2 < self.prob[i] else int(self.idx[self.alias[i]])
+        self.n = n
+        self.idx = idx.tolist()
+        self.prob = prob
+        self.alias = alias
 
     def draw_many(self, rng: np.random.Generator, k: int) -> np.ndarray:
-        n = len(self.prob)
-        i = rng.integers(0, n, size=k)
-        take_alias = rng.random(k) >= self.prob[i]
-        j = np.where(take_alias, self.alias[i], i)
-        return self.idx[j]
-
-
-class UniformPool:
-    """Bulk-drawn uniforms consumed two at a time: one vectorized
-    generator call per ~chunk instead of two Python-level RNG calls per
-    alias draw (the walk loop makes tens of thousands of draws)."""
-
-    __slots__ = ("rng", "buf", "pos", "chunk")
-
-    def __init__(self, rng: np.random.Generator, chunk: int = 65536):
-        self.rng = rng
-        self.chunk = chunk
-        self.buf = rng.random(chunk)
-        self.pos = 0
-
-    def next2(self) -> tuple[float, float]:
-        if self.pos + 2 > len(self.buf):
-            self.buf = self.rng.random(self.chunk)
-            self.pos = 0
-        u1 = self.buf[self.pos]
-        u2 = self.buf[self.pos + 1]
-        self.pos += 2
-        return u1, u2
+        i = rng.integers(0, self.n, size=k)
+        take_alias = rng.random(k) >= np.asarray(self.prob)[i]
+        j = np.where(take_alias, np.asarray(self.alias)[i], i)
+        return np.asarray(self.idx, dtype=np.int64)[j]
 
 
 def bfs_hop_distances(adj: np.ndarray) -> np.ndarray:
@@ -135,16 +121,28 @@ def build_samplers(
 
     combined = layers[-1]
     dist = bfs_hop_distances(combined)
-    n = combined.shape[0]
+    dist[np.isinf(dist)] = 6.0      # unreachable -> 6 (reference :1049)
+    np.fill_diagonal(dist, 0.0)     # self -> 0
+    dist[dist <= 1.0] = 0.0         # direct neighbors -> 0
     negative: list[AliasTable | None] = []
-    for i in range(n):
-        d = dist[i].copy()
-        d[np.isinf(d)] = 6.0       # unreachable -> 6 (reference :1049)
-        d[i] = 0.0                  # self -> 0
-        d[d <= 1.0] = 0.0           # direct neighbors -> 0
+    for d in dist:
         nz = np.nonzero(d)[0]
         negative.append(AliasTable(d[nz], nz) if len(nz) else None)
     return neighbor, negative
+
+
+_CHUNK = 65536
+_SLICE = 1024
+
+
+def _uniform_slices(rng: np.random.Generator, chunk: np.ndarray) -> Iterator[list[float]]:
+    """`chunk`, then each further rng.random(_CHUNK), as lists of _SLICE
+    Python floats. A further chunk is drawn only when its first slice is
+    asked for, so a walk takes exactly the chunks it reads."""
+    while True:
+        for lo in range(0, _CHUNK, _SLICE):
+            yield chunk[lo:lo + _SLICE].tolist()
+        chunk = rng.random(_CHUNK)
 
 
 def metapath_walks(
@@ -154,56 +152,64 @@ def metapath_walks(
     metapath = cfg.metapath
     neighbor, negative = build_samplers(layers, used_layers=set(metapath))
     n = layers[-1].shape[0]
-    pool = UniformPool(rng)
+    # per metapath position, each node's table as an (n, prob, alias, idx)
+    # tuple of lists, or None at a dead end
+    steps = len(metapath)
+    tables = [
+        [None if t is None else (t.n, t.prob, t.alias, t.idx) for t in neighbor[gi]]
+        for gi in metapath
+    ]
+    slices = _uniform_slices(rng, rng.random(_CHUNK))
+    us: list[float] = []    # the slice being read
+    pos = 0                 # its next unread value
     u_i: list[int] = []
     u_j: list[int] = []
-    lab: list[int] = []
     # negative draws never influence the walk path, so they are only
     # COUNTED here and drawn in one draw_many per node afterwards; the
     # final seeded permutation re-mixes positives and negatives so
     # minibatches stay balanced (divergence from the reference's
     # interleaved order is covered by the F1>=0.99 conformance bar)
-    neg_requests = np.zeros(n, dtype=np.int64)
-
-    def negs(node: int) -> None:
-        if negative[node] is not None:
-            neg_requests[node] += 1
+    neg_requests = [0] * n
 
     for node_index in range(n):
         for j in range(cfg.num_walks):
             node_start = node_index
-            g_index = j % len(metapath)
-            gi = metapath[g_index]
+            g = j % steps
             for _ in range(cfg.walk_length):
-                sampler = neighbor[gi][node_start]
+                sampler = tables[g][node_start]
+                g = (g + 1) % steps
+                neg_requests[node_start] += 1
+                if sampler is None:
+                    continue
+                if pos == len(us):
+                    us = next(slices)
+                    pos = 0
+                m, prob, alias, idx = sampler
+                i = int(us[pos] * m)
+                node_p = idx[i] if us[pos + 1] < prob[i] else idx[alias[i]]
+                pos += 2
+                u_i.append(node_start)
+                u_j.append(node_p)
+                sampler = tables[g][node_p]
                 if sampler is not None:
-                    node_p = sampler.draw_pooled(pool)
+                    if pos == len(us):
+                        us = next(slices)
+                        pos = 0
+                    m, prob, alias, idx = sampler
+                    i = int(us[pos] * m)
                     u_i.append(node_start)
-                    u_j.append(node_p)
-                    lab.append(1)
-                    negs(node_start)
-                    g_index = (g_index + 1) % len(metapath)
-                    gi = metapath[g_index]
-                    sampler2 = neighbor[gi][node_p]
-                    if sampler2 is not None:
-                        node_p1 = sampler2.draw_pooled(pool)
-                        u_i.append(node_start)
-                        u_j.append(node_p1)
-                        lab.append(1)
-                        negs(node_start)
-                    node_start = node_p
-                else:
-                    negs(node_start)
-                    g_index = (g_index + 1) % len(metapath)
-                    gi = metapath[g_index]
+                    u_j.append(idx[i] if us[pos + 1] < prob[i] else idx[alias[i]])
+                    pos += 2
+                    neg_requests[node_start] += 1
+                node_start = node_p
     neg_i: list[np.ndarray] = []
     neg_j: list[np.ndarray] = []
     for node in range(n):
-        r = int(neg_requests[node])
-        if r:
+        r = neg_requests[node]
+        if r and negative[node] is not None:
             k = r * cfg.negative_num
             neg_i.append(np.full(k, node, dtype=np.int64))
-            neg_j.append(negative[node].draw_many(rng, k).astype(np.int64))
+            neg_j.append(negative[node].draw_many(rng, k))
     ui = np.concatenate([np.asarray(u_i, dtype=np.int64)] + neg_i) if neg_i else np.asarray(u_i, dtype=np.int64)
     uj = np.concatenate([np.asarray(u_j, dtype=np.int64)] + neg_j) if neg_j else np.asarray(u_j, dtype=np.int64)
     ll = np.concatenate(

@@ -89,6 +89,27 @@ def test_extend_coentities_hub_dropped():
     assert sorted(got.loc["m0", "coentities_ext"]) == ["hub", "x0"]
 
 
+
+@pytest.mark.usefixtures("ray_session")
+def test_extend_coentities_without_collaborator_pairs():
+    """No mention has two coentities, so there is no collaborator pair and
+    no 2-hop row: each mention's ext set is its sorted direct coentities.
+    Joining against the empty pair set used to raise ArrowInvalid from
+    Ray's hash join at 4 CPUs."""
+    from hgcn_name_disambiguation_ray.config import LinkageConfig
+    from hgcn_name_disambiguation_ray.stages.coent import extend_coentities
+
+    rows = [("m0", ["x"]), ("m1", ["y"]), ("m2", [])]
+    got = (
+        extend_coentities(_mentions_ds(rows), LinkageConfig())
+        .to_pandas()
+        .set_index("mention_id")
+    )
+    assert len(got) == 3
+    for mid, ce in rows:
+        assert list(got.loc[mid, "coentities_ext"]) == sorted(ce), mid
+
+
 @pytest.mark.usefixtures("ray_session")
 def test_extend_coentities_empty_coentities():
     from hgcn_name_disambiguation_ray.config import LinkageConfig

@@ -536,3 +536,43 @@ def test_linkage_finishes_on_one_cpu(ray_session, small_fixture):
         df = run_linkage(pages, LinkageConfig(salt_cap=cap)).to_pandas()
         want = sorted(zip(df["mention_id"], df["cluster_id"]))
         assert [tuple(r) for r in one_cpu[str(cap)]] == want, cap
+
+
+def test_scorer_shuffle_carries_only_read_columns(ray_session, small_fixture, tmp_path,
+                                                  monkeypatch):
+    """score_block receives only the columns BlockScorer reads, plus the
+    salt, in the plain run and in the cross_merge="title" run (which adds
+    coentities_ext): url, name, title and year never enter the scorer's
+    shuffle. Each group's column names are appended to a file, since the
+    groups are scored in worker processes."""
+    import dataclasses
+
+    import ray.data as rd
+    from ray.data.grouped_data import GroupedData
+
+    from hgcn_name_disambiguation_ray.config import LinkageConfig
+    from hgcn_name_disambiguation_ray.pipelines.linkage import run_linkage
+
+    seen = tmp_path / "columns"
+    orig = GroupedData.map_groups
+
+    def spy(self, fn, *args, **kwargs):
+        if getattr(fn, "__name__", "") == "score_block":
+            inner, path = fn, str(seen)
+
+            def fn(group):
+                with open(path, "a") as f:
+                    f.write(",".join(sorted(group.column_names)) + "\n")
+                return inner(group)
+
+        return orig(self, fn, *args, **kwargs)
+
+    monkeypatch.setattr(GroupedData, "map_groups", spy)
+    pages = rd.from_arrow(small_fixture["pages"])
+    read = ["block_key", "salt", "mention_id", "coentities", "host", "tokens",
+            "tokens_stemmed"]
+    title = dataclasses.replace(LinkageConfig(), cross_merge="title")
+    for cfg, extra in ((LinkageConfig(), []), (title, ["coentities_ext"])):
+        seen.unlink(missing_ok=True)
+        assert len(run_linkage(pages, cfg).to_pandas()) > 0
+        assert set(seen.read_text().splitlines()) == {",".join(sorted(read + extra))}

@@ -1,5 +1,7 @@
 """Alias sampling / BFS distances / metapath walk determinism."""
 
+import hashlib
+
 import numpy as np
 
 from hgcn_name_disambiguation_ray.config import LinkageConfig
@@ -71,3 +73,34 @@ def test_walk_labels_and_indices_valid():
     d = bfs_hop_distances(layers[-1])
     pos = lab == 1.0
     assert np.isfinite(d[u_i[pos], u_j[pos]]).all()
+
+
+def _random_block(n=500, seed=7):
+    """Three sparse weighted layers plus their sum. About 38k positive
+    draws: the walk reads past its first 65,536-uniform chunk."""
+    rng = np.random.default_rng(seed)
+    layers = []
+    for p in (0.01, 0.02, 0.005):
+        w = np.triu(rng.integers(1, 4, (n, n)) * (rng.random((n, n)) < p), 1).astype(np.float64)
+        layers.append(w + w.T)
+    return layers + [layers[0] + layers[1] + layers[2]]
+
+
+def _digest(triples) -> str:
+    h = hashlib.blake2b(digest_size=16)
+    for a, dtype in zip(triples, ("<i8", "<i8", "<f8")):
+        h.update(a.astype(dtype).tobytes())
+    return h.hexdigest()
+
+
+def test_walks_bits_are_pinned():
+    """The walk is integers picked by PCG64 doubles, so its triples are the
+    same on every platform; these digests were recorded before the walk
+    loop was rewritten and must not move."""
+    cfg = LinkageConfig()
+    toy = metapath_walks(_toy_layers(), cfg, np.random.default_rng(99))
+    assert len(toy[0]) == 1281
+    assert _digest(toy) == "11654448fd00c088db02c4173e723c71"
+    big = metapath_walks(_random_block(), cfg, np.random.default_rng(2024))
+    assert len(big[0]) == 155903 and int((big[2] > 0).sum()) == 38630
+    assert _digest(big) == "ffdf90a39ce6ed2174d83aff5824a413"
