@@ -1614,8 +1614,8 @@ def _q_kmeans_clusters(sf_dir: str):
 
 
 def _q_linkage_sharded(sf_dir: str):
-    """The per-partition-resumable linkage path over the pages fixture:
-    block-key shards checkpoint independently (kill/resume covered in
+    """`run_linkage` at 4 block-key shards over the pages fixture: the
+    shards checkpoint independently (kill/resume covered in
     tests); output must equal the unsharded pipeline's clusters. Each
     call writes its shards to its own temporary directory, so it never
     serves shards another checkout's scorer wrote."""
@@ -1624,12 +1624,12 @@ def _q_linkage_sharded(sf_dir: str):
     import ray.data as rd
 
     from hgcn_name_disambiguation_ray.config import LinkageConfig
-    from hgcn_name_disambiguation_ray.pipelines.linkage import run_linkage_sharded
+    from hgcn_name_disambiguation_ray.pipelines.linkage import run_linkage
 
     src = os.path.join(_fixture_pages_dir(), "pages.parquet")
     with tempfile.TemporaryDirectory(prefix="hgcn_ray_shard_ckpt_") as ckpt:
-        out = run_linkage_sharded(rd.read_parquet(src), LinkageConfig(), checkpoint_dir=ckpt,
-                                  lineage_token=src, n_shards=4)
+        out = run_linkage(rd.read_parquet(src), LinkageConfig(), checkpoint_dir=ckpt,
+                          lineage_token=src, n_shards=4)
         # read into pandas before the shard files go
         return out.to_pandas().sort_values("mention_id").reset_index(drop=True)
 

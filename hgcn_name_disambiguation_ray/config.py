@@ -100,7 +100,7 @@ class LinkageConfig:
     # ---- execution ----
     extract_batch_size: int = 1024
     # unread by the engine (the scorer runs as tasks, not a pool); kept as
-    # repr(cfg) feeds every checkpoint fingerprint (mentions-v1, clusters-v1)
+    # repr(cfg) feeds every checkpoint fingerprint (mentions-v1, clusters-v2)
     # and the benchmark's traced pass still reads it
     scorer_concurrency: int | tuple[int, int] = (1, 64)
     seed: int = 20240816          # global determinism seed; per-block seeds derive

@@ -13,9 +13,11 @@
     -> [closure over hub + cross-salt edges]  # only when salting occurred
     -> clusters(block_key, salt, mention_id, cluster_id)
 
-`run_linkage` and `run_linkage_sharded` share the mention prep
-(`_prepare_mentions`) and the salt -> score -> merge tail
-(`_score_and_merge`); the sharded path runs the tail once per shard.
+`run_linkage` is the one entry point: mention prep (`_prepare_mentions`)
+and the salt map run once, then the salt -> score -> merge tail
+(`_score_and_merge`) runs once per block-key shard. The unsharded run is
+the one-shard case; with `checkpoint_dir` set each shard's scorer output
+is a resumable checkpoint of its own (`{checkpoint_dir}/shard={s}`).
 
 Nothing materializes the pages table; mentions (token/key columns only,
 no html) are the only intermediate, either checkpointed to Parquet or —
@@ -25,15 +27,18 @@ pass does not recompute the extract.
 
 from __future__ import annotations
 
+import functools
 import os
+from typing import Callable
 
+import numpy as np
 import pandas as pd
 import pyarrow as pa
 import ray
-import ray.data as rd
 from ray.data import Dataset
 
 from hgcn_name_disambiguation_ray.config import LinkageConfig
+from hgcn_name_disambiguation_ray.functions.hashing import stable_hash64_array
 from hgcn_name_disambiguation_ray.functions.text import tokenize_batch
 from hgcn_name_disambiguation_ray.sources.checkpoint import checkpoint_stage, fingerprint
 from hgcn_name_disambiguation_ray.stages.blocking import (
@@ -202,31 +207,64 @@ def _merge_hot_relabel(
     return clusters.map_batches(relabel, batch_format="pyarrow")
 
 
+def block_key_bucket(keys, n: int) -> np.ndarray:
+    """`stable_hash64(block_key) % n` per key, as int32: the shard a key's
+    mentions score in and the sink's `block_prefix` (n=64) it lands in."""
+    return (stable_hash64_array(np.asarray(keys, dtype=object)) % np.uint64(n)).astype(np.int32)
+
+
 def run_linkage(
     pages: Dataset,
     cfg: LinkageConfig | None = None,
     checkpoint_dir: str | None = None,
     lineage_token: str = "",
     mentions: Dataset | None = None,
+    n_shards: int = 1,
 ) -> Dataset:
     """pages Dataset -> clusters Dataset(block_key, salt, mention_id, cluster_id).
 
     `mentions` lets a caller that already extracted+materialized the
     mention table (run_linkage_artifact trains word vectors on it) hand
     it in so the expensive parse stage runs once, not twice; it bypasses
-    the mentions checkpoint, so pair it with a matching lineage_token."""
+    the mentions checkpoint, so pair it with a matching lineage_token.
+
+    With `checkpoint_dir` set, block keys hash into `n_shards` shards and
+    each shard's scorer output is checkpointed on its own, so a killed run
+    resumes by skipping finished shards (no scorer task, no mentions scan)
+    and re-running the cheap cross-salt merge over them. All salts of a
+    key share its shard, so that merge never crosses a shard boundary.
+    The output is the union of the shards, the same ids at any n_shards."""
+    if n_shards < 1 or (n_shards > 1 and not checkpoint_dir):
+        raise ValueError(
+            f"n_shards={n_shards}: use 1, or more with a checkpoint_dir (shards "
+            f"exist to be resumed one by one)"
+        )
     cfg = cfg or LinkageConfig()
     mentions = _prepare_mentions(pages, cfg, checkpoint_dir, lineage_token, mentions)
     salt_map = _salt_map(mentions, cfg)
-    scorer_ckpt = None
-    if checkpoint_dir:
-        # the scorer is the expensive stage — its own checkpoint lets a
-        # resumed run skip straight to the (cheap) merge/relabel
-        scorer_ckpt = (
-            f"{checkpoint_dir}/clusters",
-            fingerprint("clusters-v1", lineage_token, cfg, sorted(salt_map.items())),
+    w2v_ref = _w2v_blob_ref(cfg)
+    if not checkpoint_dir:
+        return _score_and_merge(lambda: mentions, cfg, salt_map, w2v_ref)
+    lineage = fingerprint("clusters-v2", lineage_token, cfg, sorted(salt_map.items()), n_shards)
+
+    def shard_mentions(s: int) -> Dataset:
+        if n_shards == 1:
+            return mentions
+
+        def keep(t: pa.Table) -> pa.Table:
+            return t.filter(block_key_bucket(t["block_key"], n_shards) == s)
+
+        # pinned: the scorer's row count and its shuffle both read it
+        return mentions.map_batches(keep, batch_format="pyarrow").materialize()
+
+    shards = [
+        _score_and_merge(
+            functools.partial(shard_mentions, s), cfg, salt_map, w2v_ref,
+            (f"{checkpoint_dir}/shard={s}", f"{lineage}:{s}"),
         )
-    return _score_and_merge(mentions, cfg, salt_map, _w2v_blob_ref(cfg), scorer_ckpt)
+        for s in range(n_shards)
+    ]
+    return shards[0].union(*shards[1:]) if n_shards > 1 else shards[0]
 
 
 def _prepare_mentions(
@@ -270,7 +308,7 @@ def _salt_map(mentions: Dataset, cfg: LinkageConfig) -> dict[str, int]:
 
 
 def _score_and_merge(
-    mentions: Dataset,
+    mentions: Callable[[], Dataset],
     cfg: LinkageConfig,
     salt_map: dict[str, int],
     w2v_ref,
@@ -279,20 +317,12 @@ def _score_and_merge(
     """The linkage tail over a pinned or checkpointed mention set: salt ->
     repartition -> BlockScorer task -> optional scorer checkpoint (stage dir,
     lineage) -> cross-salt merge when any key was salted. Output columns
-    are CLUSTERS_SCHEMA's. `w2v_ref` is the run's `_w2v_blob_ref(cfg)`,
-    put once per run so that every shard keys the same cached scorer."""
-    # only the columns the scorer reads enter the shuffle (url, name,
-    # title and year would be about 31 % of its bytes)
-    inputs, schema = mentions, mentions.schema()
-    if schema is not None:
-        inputs = mentions.select_columns(
-            [c for c in SCORER_INPUT_COLUMNS if c in schema.names])
-    # an AssignSalt INSTANCE runs as a plain task fused with its neighbours
-    # (the salt map holds hot keys only and travels in the closure)
-    salted = inputs.map_batches(AssignSalt(salt_map), batch_format="pyarrow")
-    salted = salted.repartition(_scorer_parts(mentions.count(), cfg))
+    are CLUSTERS_SCHEMA's. `mentions()` gives the mention set and is only
+    called when the scorer runs, so a finished checkpoint reads no
+    mentions. `w2v_ref` is the run's `_w2v_blob_ref(cfg)`, put once per
+    run so that every shard keys the same cached scorer."""
     # a task, not an actor pool: each worker builds the scorer (and fetches
-    # the model) once, and keeps it across tasks and run_linkage_sharded's shards
+    # the model) once, and keeps it across tasks and shards
     emit_signatures = bool(salt_map)
     key = (repr(cfg), emit_signatures, w2v_ref.hex() if w2v_ref else None)
 
@@ -304,6 +334,17 @@ def _score_and_merge(
         return worker_cached(k, lambda: BlockScorer(cfg, False, emit_signatures, w2v_ref))(group)
 
     def score() -> Dataset:
+        ms = mentions()
+        # only the columns the scorer reads enter the shuffle (url, name,
+        # title and year would be about 31 % of its bytes)
+        inputs, schema = ms, ms.schema()
+        if schema is not None:
+            inputs = ms.select_columns(
+                [c for c in SCORER_INPUT_COLUMNS if c in schema.names])
+        # an AssignSalt INSTANCE runs as a plain task fused with its neighbours
+        # (the salt map holds hot keys only and travels in the closure)
+        salted = inputs.map_batches(AssignSalt(salt_map), batch_format="pyarrow")
+        salted = salted.repartition(_scorer_parts(ms.count(), cfg))
         return salted.groupby(["block_key", "salt"]).map_groups(
             score_block, batch_format="pyarrow"
         )
@@ -371,86 +412,6 @@ def run_linkage_artifact(
                        lineage_token=lineage_token, mentions=mentions)
 
 
-def run_linkage_sharded(
-    pages: Dataset,
-    cfg: LinkageConfig | None = None,
-    checkpoint_dir: str = "/tmp/linkage_ckpt",
-    lineage_token: str = "",
-    n_shards: int = 16,
-    max_shards_this_run: int | None = None,
-) -> Dataset | None:
-    """Per-partition resumable linkage: block keys hash into `n_shards`
-    shards; each shard runs the scorer + cross-salt merge independently
-    and lands in its own parquet directory with a lineage manifest. A
-    killed run resumes by SKIPPING finished shards — the per-partition
-    granularity the stage-level `checkpoint_stage` can't give. All salts
-    of a key share its shard, so the cross-salt merge never crosses a
-    shard boundary.
-
-    `max_shards_this_run` bounds how many missing shards one call
-    processes (tests use it to simulate a crash). Returns the full
-    clusters Dataset, or None if shards remain unfinished."""
-    import json
-
-    from hgcn_name_disambiguation_ray.functions.hashing import stable_hash64_array
-
-    cfg = cfg or LinkageConfig()
-    mentions = _prepare_mentions(pages, cfg, checkpoint_dir, lineage_token)
-    salt_map = _salt_map(mentions, cfg)
-    w2v_ref = _w2v_blob_ref(cfg)
-
-    def shard_of(t: pa.Table) -> pa.Table:
-        import numpy as np
-
-        keys = np.asarray(t["block_key"].to_pandas(), dtype=object)
-        sh = (stable_hash64_array(keys) % n_shards).astype(np.int32)
-        return t.append_column("__shard", pa.array(sh, type=pa.int32()))
-
-    sharded = mentions.map_batches(shard_of, batch_format="pyarrow")
-    base_lineage = fingerprint("clusters-shard-v1", lineage_token, cfg,
-                               sorted(salt_map.items()), n_shards)
-
-    done, missing = [], []
-    for s in range(n_shards):
-        mpath = os.path.join(checkpoint_dir, f"shard={s}", "_manifest.json")
-        ok = False
-        if os.path.exists(mpath):
-            try:
-                with open(mpath) as f:
-                    ok = json.load(f).get("lineage") == f"{base_lineage}:{s}"
-            except (json.JSONDecodeError, OSError):
-                ok = False
-        (done if ok else missing).append(s)
-
-    budget = len(missing) if max_shards_this_run is None else max_shards_this_run
-    for s in missing[:budget]:
-        # pin the shard's mention set: it is a lazy filter over the
-        # checkpoint scan, and the tail's count() and scorer would otherwise
-        # each re-execute that scan end to end
-        shard_ds = sharded.filter(expr=f"__shard == {s}").drop_columns(["__shard"])
-        clusters = _score_and_merge(shard_ds.materialize(), cfg, salt_map, w2v_ref)
-        checkpoint_stage(
-            lambda: clusters,
-            os.path.join(checkpoint_dir, f"shard={s}"),
-            f"{base_lineage}:{s}",
-            schema=CLUSTERS_SCHEMA,
-        )
-        done.append(s)
-
-    if len(done) < n_shards:
-        return None  # crashed / budgeted run: resume later
-    # read_parquet accepts one directory but not a list of them: expand.
-    # (project OUT_COLS: hive discovery parses the shard=N path segment
-    # into a surplus column, and the unsharded path's schema is the contract)
-    files = []
-    for s in range(n_shards):
-        d = os.path.join(checkpoint_dir, f"shard={s}", "data")
-        files.extend(
-            os.path.join(d, f) for f in sorted(os.listdir(d)) if f.endswith(".parquet")
-        )
-    return rd.read_parquet(files).select_columns(OUT_COLS)
-
-
 def clusters_with_truth(clusters: Dataset, truth: pa.Table) -> Dataset:
     """Attach ground-truth person_id (fixtures only) for evaluation."""
     tdf = truth.to_pandas()[["mention_id", "person_id"]]
@@ -464,15 +425,10 @@ def clusters_with_truth(clusters: Dataset, truth: pa.Table) -> Dataset:
 def write_clusters(clusters: Dataset, out_dir: str) -> None:
     """Resumable sink: Parquet partitioned by a bounded key-hash prefix."""
     def add_prefix(batch: pa.Table) -> pa.Table:
-        import numpy as np
-
-        from hgcn_name_disambiguation_ray.functions.hashing import stable_hash64_array
-
         # the scorer emits one chunk per (block_key, salt) group; the
         # partitioned write is faster over one contiguous chunk per column
         batch = batch.combine_chunks()
-        keys = np.asarray(batch["block_key"].to_pandas(), dtype=object)
-        pref = (stable_hash64_array(keys) % 64).astype(np.int32)
+        pref = block_key_bucket(batch["block_key"], 64)
         return batch.append_column("block_prefix", pa.array(pref, type=pa.int32()))
 
     clusters.map_batches(add_prefix, batch_format="pyarrow").write_parquet(
@@ -529,14 +485,9 @@ def lookup_clusters(clusters_dir: str, block_key: str) -> pd.DataFrame:
     hashes to — the same prefix `write_clusters` assigned — so a lookup
     against a trillion-row output touches one partition, not the corpus.
     Returns (block_key, salt, mention_id, cluster_id) sorted for display."""
-    import numpy as np
     import pyarrow.dataset as pads
 
-    from hgcn_name_disambiguation_ray.functions.hashing import stable_hash64_array
-
-    # convert to Python int BEFORE the modulo: numpy promotes
-    # uint64_scalar % int to float64 and corrupts the prefix
-    prefix = int(stable_hash64_array(np.array([block_key], dtype=object))[0]) % 64
+    prefix = int(block_key_bucket([block_key], 64)[0])
     part_dir = os.path.join(clusters_dir, f"block_prefix={prefix}")
     if not os.path.isdir(part_dir):
         return pd.DataFrame(

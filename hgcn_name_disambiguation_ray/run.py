@@ -38,8 +38,9 @@ def main(argv: list[str] | None = None) -> int:
                    help="stage/shard checkpoint root (enables resume)")
     p.add_argument("--lineage-token", default="",
                    help="fingerprint of the input snapshot; pair with --checkpoint-dir")
-    p.add_argument("--n-shards", type=int, default=0,
-                   help="> 0 = per-partition resumable path (run_linkage_sharded)")
+    p.add_argument("--n-shards", type=int, default=1,
+                   help="block-key shards, each resumable on its own (> 1 needs "
+                        "--checkpoint-dir)")
     p.add_argument("--salt-cap", type=int, default=None,
                    help="hot-key salting threshold (LinkageConfig default otherwise)")
     p.add_argument("--cross-merge", choices=["none", "title"], default="none",
@@ -69,6 +70,10 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     if not args.input or not args.output:
         p.error("--input and --output are required (unless using --lookup)")
+    if args.n_shards > 1 and not args.checkpoint_dir:
+        p.error("--n-shards requires --checkpoint-dir (shards "
+                "checkpoint per partition; a silent shared default "
+                "would cross-contaminate runs)")
 
     import ray
 
@@ -82,7 +87,6 @@ def main(argv: list[str] | None = None) -> int:
         from hgcn_name_disambiguation_ray.pipelines.linkage import (
             clusters_json_summary,
             run_linkage,
-            run_linkage_sharded,
             write_clusters,
         )
 
@@ -153,21 +157,10 @@ def main(argv: list[str] | None = None) -> int:
             pages = warc_pages([s for s in args.input.split(",") if s])
         else:
             pages = rd.read_parquet(args.input)
-        if args.n_shards > 0:
-            if not args.checkpoint_dir:
-                p.error("--n-shards requires --checkpoint-dir (shards "
-                        "checkpoint per partition; a silent shared default "
-                        "would cross-contaminate runs)")
-            clusters = run_linkage_sharded(
-                pages, cfg,
-                checkpoint_dir=args.checkpoint_dir,
-                lineage_token=lineage, n_shards=args.n_shards,
-            )
-        else:
-            clusters = run_linkage(
-                pages, cfg, checkpoint_dir=args.checkpoint_dir,
-                lineage_token=lineage,
-            )
+        clusters = run_linkage(
+            pages, cfg, checkpoint_dir=args.checkpoint_dir,
+            lineage_token=lineage, n_shards=args.n_shards,
+        )
         write_clusters(clusters, args.output)
         elapsed = time.time() - t0
         summary_skipped = None

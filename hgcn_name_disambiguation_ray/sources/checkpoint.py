@@ -13,6 +13,7 @@ half-written checkpoint that matches its manifest.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import shutil
@@ -34,7 +35,6 @@ def checkpoint_stage(
     ds_factory,
     stage_dir: str,
     lineage: str,
-    read_fn=None,
     schema=None,
 ) -> Dataset:
     """Run-or-resume one stage.
@@ -42,7 +42,6 @@ def checkpoint_stage(
     ds_factory: () -> Dataset producing the stage output (lazy until here).
     stage_dir:  directory for this stage's parquet + manifest.
     lineage:    fingerprint string; mismatch invalidates the checkpoint.
-    read_fn:    optional custom reader (default ray.data.read_parquet).
     schema:     optional pyarrow.Schema of the stage output. Pass it when
                 the schema is statically known: a stage that legitimately
                 produces ZERO rows writes no parquet, Ray drops empty
@@ -54,6 +53,9 @@ def checkpoint_stage(
     """
     import ray.data as rd
 
+    # no hive partitioning on read: a `k=v` segment in stage_dir (a shard's
+    # `shard=3`) is a directory name, not a column
+    read = functools.partial(rd.read_parquet, partitioning=None)
     manifest_path = os.path.join(stage_dir, "_manifest.json")
     data_dir = os.path.join(stage_dir, "data")
     if os.path.exists(manifest_path):
@@ -62,7 +64,7 @@ def checkpoint_stage(
                 m = json.load(f)
             if m.get("lineage") == lineage:
                 if any(f.endswith(".parquet") for f in os.listdir(data_dir)):
-                    return (read_fn or rd.read_parquet)(data_dir)
+                    return read(data_dir)
                 return rd.from_items([])
         except (json.JSONDecodeError, OSError):
             pass
@@ -83,7 +85,7 @@ def checkpoint_stage(
         # stage SCHEMA as one empty parquet file so resume returns an
         # empty dataset with the original columns (a schemaless
         # rd.from_items([]) breaks downstream select_columns/groupby —
-        # e.g. an empty mentions checkpoint in run_linkage_sharded)
+        # e.g. an empty mentions checkpoint, or a shard with no blocks)
         import pyarrow as pa
         import pyarrow.parquet as pq
 
@@ -105,7 +107,7 @@ def checkpoint_stage(
     shutil.rmtree(data_dir, ignore_errors=True)
     os.rename(tmp_dir, data_dir)
     if any(f.endswith(".parquet") for f in os.listdir(data_dir)):
-        out = (read_fn or rd.read_parquet)(data_dir)
+        out = read(data_dir)
     else:
         out = rd.from_items([])
     with open(manifest_path, "w") as f:

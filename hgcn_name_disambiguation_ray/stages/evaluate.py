@@ -8,9 +8,10 @@ computes the same numbers without materializing pairs (SURVEY.md A5):
   TP+FP   = Σ over (block, pred)       of C(n_pred, 2)
   TP+FN   = Σ over (block, true)       of C(n_true, 2)
 
-per block, then macro-averaged over blocks like the reference's CSV
-summary (`:1261-1294`). Pairs never cross blocks — "labeled pairs at the
-same blocking key" per the north rule.
+per block, then macro-averaged like the reference's CSV summary
+(`:1261-1294`), over the blocks with at least one true or predicted
+pair. Pairs never cross blocks — "labeled pairs at the same blocking
+key" per the north rule.
 """
 
 from __future__ import annotations
@@ -91,7 +92,12 @@ def pairwise_scores(labeled: Dataset) -> pd.DataFrame:
 
     Returns per-block DataFrame (block_key, precision, recall, f1) plus a
     macro-average row (block_key='__macro__'), mirroring the reference's
-    per-name rows + 'Avg' row (`name_disambiguation.py:1265-1303`).
+    per-name rows + 'Avg' row (`name_disambiguation.py:1265-1303`). A
+    block of singletons only (no true and no predicted pair) keeps its
+    F1-0 row but stays out of the macro: it has no pair to get right or
+    wrong, and counting it as 0 would read a perfect clustering of a
+    mostly-singleton input as a poor one. The macro is NaN when no block
+    has a pair.
 
     Fully distributed: cell counting, C(n,2) and the per-block TP/PP/AP
     sums all run as Ray stages; the driver materializes only the three
@@ -122,12 +128,13 @@ def pairwise_scores(labeled: Dataset) -> pd.DataFrame:
     denom = df["precision"] + df["recall"]
     df["f1"] = (2 * df["precision"] * df["recall"] / denom).where(denom > 0, 0.0)
     out = df.reset_index()[["block_key", "precision", "recall", "f1"]]
+    paired = out[((df["pp"] > 0) | (df["ap"] > 0)).to_numpy()]
     macro = pd.DataFrame(
         {
             "block_key": ["__macro__"],
-            "precision": [out["precision"].mean()],
-            "recall": [out["recall"].mean()],
-            "f1": [out["f1"].mean()],
+            "precision": [paired["precision"].mean()],
+            "recall": [paired["recall"].mean()],
+            "f1": [paired["f1"].mean()],
         }
     )
     return pd.concat([out, macro], ignore_index=True)

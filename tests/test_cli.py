@@ -44,17 +44,21 @@ def test_cli_main_runs_pipeline_and_respects_existing_session(tmp_path):
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_cli_sharded_requires_checkpoint_dir(tmp_path):
-    from hgcn_name_disambiguation_ray.fixtures import FixtureSpec, write_fixture
+def test_cli_sharded_requires_checkpoint_dir(tmp_path, capsys):
+    """The CLI refuses --n-shards > 1 without --checkpoint-dir, and says
+    why; the library refuses the same call (and a shard count below 1)."""
+    import ray.data as rd
+
+    from hgcn_name_disambiguation_ray.pipelines.linkage import run_linkage
     from hgcn_name_disambiguation_ray.run import main
 
-    paths = write_fixture(
-        FixtureSpec(n_names=1, persons_per_name=1, docs_per_person=2),
-        str(tmp_path / "fx"),
-    )
     with pytest.raises(SystemExit):
-        main(["--input", paths["pages"], "--output", str(tmp_path / "o"),
+        main(["--input", str(tmp_path / "in"), "--output", str(tmp_path / "o"),
               "--n-shards", "4"])
+    assert "--n-shards requires --checkpoint-dir" in capsys.readouterr().err
+    for n in (0, 4):
+        with pytest.raises(ValueError, match="checkpoint_dir"):
+            run_linkage(rd.from_items([]), n_shards=n)
 
 
 @pytest.mark.usefixtures("ray_session")

@@ -58,6 +58,28 @@ def test_count_identity_matches_reference_formula():
     assert macro["f1"] == pytest.approx(np.mean([v[2] for v in expected.values()]))
 
 
+@pytest.mark.usefixtures("ray_session")
+def test_macro_skips_blocks_without_pairs():
+    """A block of singletons only (no true and no predicted pair) keeps
+    its F1-0 row but stays out of the macro; a block whose only pair is
+    predicted wrongly counts."""
+    import ray.data as rd
+
+    from hgcn_name_disambiguation_ray.stages.evaluate import pairwise_scores
+
+    labeled = rd.from_pandas(pd.DataFrame({
+        "block_key": ["ok", "ok", "ok", "single", "single", "wrong", "wrong"],
+        "person_id": ["a", "a", "b", "x", "y", "p", "q"],
+        "cluster_id": ["c1", "c1", "c2", "s1", "s2", "w", "w"],
+    }))
+    scores = pairwise_scores(labeled).set_index("block_key")
+    assert scores.loc["ok", "f1"] == 1.0
+    assert scores.loc["single", "f1"] == 0.0  # per-block row unchanged
+    assert scores.loc["wrong", "f1"] == 0.0
+    assert scores.loc["__macro__", "f1"] == pytest.approx(0.5)
+    assert len(scores) == 4
+
+
 def test_majority_assignment(ray_session):
     import ray.data as rd
 

@@ -67,13 +67,13 @@ def test_checkpoint_resume(tmp_path):
     manifest = json.load(open(f"{ck}/mentions/_manifest.json"))
     assert manifest["rows"] == len(n1)
     stamp1 = manifest["written_at_epoch"]
-    cl_manifest = json.load(open(f"{ck}/clusters/_manifest.json"))
+    cl_manifest = json.load(open(f"{ck}/shard=0/_manifest.json"))
     cl_stamp1 = cl_manifest["written_at_epoch"]
     # rerun: mentions AND clusters stages must be read back, not recomputed
     c2, _ = _run(SPEC, {}, checkpoint_dir=ck)
     manifest2 = json.load(open(f"{ck}/mentions/_manifest.json"))
     assert manifest2["written_at_epoch"] == stamp1  # untouched manifest = resumed
-    cl_manifest2 = json.load(open(f"{ck}/clusters/_manifest.json"))
+    cl_manifest2 = json.load(open(f"{ck}/shard=0/_manifest.json"))
     assert cl_manifest2["written_at_epoch"] == cl_stamp1
     df1 = n1.sort_values("mention_id").reset_index(drop=True)
     df2 = c2.to_pandas().sort_values("mention_id").reset_index(drop=True)
@@ -102,6 +102,26 @@ def test_empty_checkpoint_preserves_schema(tmp_path):
     assert out2.count() == 0
     assert set(out2.columns()) == {"block_key", "n"}
     assert out2.select_columns(["block_key"]).count() == 0
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_checkpoint_ignores_key_value_path_segments(tmp_path):
+    """A `k=v` directory in a checkpoint's path (a run id, a shard's
+    `shard=N`) is not a column: the stage reads back with exactly the
+    columns it wrote, on the first run and on resume."""
+    import pyarrow as pa
+    import ray.data as rd
+
+    from hgcn_name_disambiguation_ray.sources.checkpoint import checkpoint_stage
+
+    sd = str(tmp_path / "x=1" / "ckpt" / "mentions")
+    t = pa.table({"a": [1, 2, 3]})
+    out = checkpoint_stage(lambda: rd.from_arrow(t), sd, lineage="L1")
+    assert out.columns() == ["a"]
+    again = checkpoint_stage(lambda: (_ for _ in ()).throw(AssertionError("recomputed")),
+                             sd, lineage="L1")
+    assert again.columns() == ["a"]
+    assert sorted(again.to_pandas()["a"]) == [1, 2, 3]
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -166,62 +186,97 @@ def test_overlap_stress_conformance():
     assert macro["f1"] >= 0.9, scores.to_string()
 
 
-@pytest.mark.usefixtures("ray_session")
-@pytest.mark.parametrize("salt_cap", [512, 16])
-def test_sharded_checkpoint_kill_resume(tmp_path, salt_cap):
-    """Per-partition resume: a run killed after 2 of 4 shards must resume
-    by recomputing ONLY the missing shards, and the final clusters must
-    equal a clean unsharded run. salt_cap=16 salts the 24-mention hot
-    name (the other names have 12), so the shared tail's cross-salt merge
-    runs inside a shard."""
-    import json
-    import os
-
+def _shard_fixture(tmp_path):
     import ray.data as rd
 
-    from hgcn_name_disambiguation_ray.config import LinkageConfig
     from hgcn_name_disambiguation_ray.fixtures import FixtureSpec, write_fixture
-    from hgcn_name_disambiguation_ray.pipelines.linkage import (
-        run_linkage,
-        run_linkage_sharded,
-    )
 
     paths = write_fixture(
         FixtureSpec(n_names=6, persons_per_name=2, docs_per_person=6, hot_name_factor=2),
         str(tmp_path / "fx"),
     )
-    pages = rd.read_parquet(paths["pages"])
-    cfg = LinkageConfig(salt_cap=salt_cap)
-    ckpt = str(tmp_path / "ckpt")
+    return rd.read_parquet(paths["pages"])
 
-    # "crash" after 2 shards
-    out = run_linkage_sharded(pages, cfg, ckpt, lineage_token="t", n_shards=4,
-                              max_shards_this_run=2)
-    assert out is None
-    manifests = {
-        s: json.load(open(os.path.join(ckpt, f"shard={s}", "_manifest.json")))
-        for s in range(4)
-        if os.path.exists(os.path.join(ckpt, f"shard={s}", "_manifest.json"))
-    }
-    assert len(manifests) == 2
 
-    # resume: finishes the remaining shards, does NOT rewrite finished ones
-    out = run_linkage_sharded(pages, cfg, ckpt, lineage_token="t", n_shards=4)
-    assert out is not None
-    for s, m in manifests.items():
-        m2 = json.load(open(os.path.join(ckpt, f"shard={s}", "_manifest.json")))
-        assert m2["written_at_epoch"] == m["written_at_epoch"], s
+def _by_mention(ds):
+    return ds.to_pandas().sort_values("mention_id").reset_index(drop=True)
+
+
+@pytest.mark.usefixtures("ray_session")
+@pytest.mark.parametrize("salt_cap", [512, 16])
+def test_sharded_checkpoint_kill_resume(tmp_path, salt_cap, map_calls, monkeypatch):
+    """Per-partition resume: a run whose third of 4 shards dies in the
+    scorer keeps the two finished shards; the resume recomputes ONLY the
+    missing shards, and the final clusters equal a clean in-memory run.
+    A further call over the complete directory runs no scorer and reads
+    no shard's mentions. salt_cap=16 salts the 24-mention hot name (the
+    other names have 12), so the cross-salt merge runs inside a shard."""
+    import json
+    import os
 
     import pandas as pd
 
-    got = out.to_pandas().sort_values("mention_id").reset_index(drop=True)
-    want = run_linkage(pages, cfg).to_pandas().sort_values("mention_id").reset_index(drop=True)
+    from hgcn_name_disambiguation_ray.config import LinkageConfig
+    from hgcn_name_disambiguation_ray.pipelines import linkage
+
+    pages = _shard_fixture(tmp_path)
+    cfg = LinkageConfig(salt_cap=salt_cap)
+    ckpt = str(tmp_path / "ckpt")
+
+    def killed():
+        raise RuntimeError("scorer killed")
+
+    real = linkage.checkpoint_stage
+    with monkeypatch.context() as mp:
+        mp.setattr(linkage, "checkpoint_stage", lambda make, d, *a, **k: real(
+            killed if d.endswith("shard=2") else make, d, *a, **k))
+        with pytest.raises(RuntimeError, match="scorer killed"):
+            linkage.run_linkage(pages, cfg, ckpt, lineage_token="t", n_shards=4)
+
+    def manifests():
+        return {
+            s: json.load(open(os.path.join(ckpt, f"shard={s}", "_manifest.json")))
+            for s in range(4)
+            if os.path.exists(os.path.join(ckpt, f"shard={s}", "_manifest.json"))
+        }
+
+    done = manifests()
+    assert sorted(done) == [0, 1]
+
+    # resume: finishes the remaining shards, does NOT rewrite finished ones
+    got = _by_mention(linkage.run_linkage(pages, cfg, ckpt, lineage_token="t", n_shards=4))
+    after = manifests()
+    assert sorted(after) == [0, 1, 2, 3]
+    assert {s: after[s] for s in done} == done
+
+    want = _by_mention(linkage.run_linkage(pages, cfg))
     assert (got["salt"].max() > 0) == (salt_cap < 24)
     # cluster ids are min-member-derived, deterministic across both paths
-    pd.testing.assert_frame_equal(
-        got[["mention_id", "block_key", "cluster_id"]],
-        want[["mention_id", "block_key", "cluster_id"]],
-    )
+    pd.testing.assert_frame_equal(got, want)
+
+    # complete directory: no scorer task, no per-shard mentions filter
+    map_calls.clear()
+    again = _by_mention(linkage.run_linkage(pages, cfg, ckpt, lineage_token="t", n_shards=4))
+    pd.testing.assert_frame_equal(again, want)
+    names = [getattr(fn, "__name__", "") for fn, _ in map_calls]
+    assert "score_block" not in names and "keep" not in names, names
+    assert manifests() == after
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_one_shard_checkpoint_matches_in_memory(tmp_path):
+    """n_shards=1 with a checkpoint_dir (what a checkpointed run_linkage
+    does by default) gives the in-memory run's ids, salted or not."""
+    import pandas as pd
+
+    from hgcn_name_disambiguation_ray.config import LinkageConfig
+    from hgcn_name_disambiguation_ray.pipelines.linkage import run_linkage
+
+    pages = _shard_fixture(tmp_path)
+    for cap in (512, 16):
+        cfg = LinkageConfig(salt_cap=cap)
+        got = run_linkage(pages, cfg, str(tmp_path / f"ckpt{cap}"), lineage_token="t")
+        pd.testing.assert_frame_equal(_by_mention(got), _by_mention(run_linkage(pages, cfg)))
 
 
 def _score_blocks(map_calls) -> list:
@@ -243,7 +298,7 @@ def _count_scorer_builds(monkeypatch):
 
 @pytest.mark.usefixtures("ray_session")
 def test_sharded_artifact_regime_matches_unsharded(tmp_path, map_calls, monkeypatch):
-    """cross_merge="title" through run_linkage_sharded: the 2-hop
+    """cross_merge="title" through run_linkage at 3 shards: the 2-hop
     extension runs globally BEFORE sharding (the collaborator graph must
     not be cut at shard boundaries), and the sharded output equals the
     unsharded artifact run. The model is put once per run, so every
@@ -262,7 +317,6 @@ def test_sharded_artifact_regime_matches_unsharded(tmp_path, map_calls, monkeypa
     from hgcn_name_disambiguation_ray.pipelines.linkage import (
         extract_mentions,
         run_linkage,
-        run_linkage_sharded,
     )
     from hgcn_name_disambiguation_ray.state.wordvec import train_word_vectors
 
@@ -275,8 +329,7 @@ def test_sharded_artifact_regime_matches_unsharded(tmp_path, map_calls, monkeypa
     train_word_vectors(extract_mentions(pages).materialize(), model, tokens_col="tokens", dim=16)
     cfg = dataclasses.replace(LinkageConfig(), cross_merge="title", word2vec_path=model)
 
-    out = run_linkage_sharded(pages, cfg, str(tmp_path / "ckpt"),
-                              lineage_token="t", n_shards=3)
+    out = run_linkage(pages, cfg, str(tmp_path / "ckpt"), lineage_token="t", n_shards=3)
     shard_fns = _score_blocks(map_calls)
     got = out.to_pandas().sort_values("mention_id").reset_index(drop=True)
     want = run_linkage(pages, cfg).to_pandas().sort_values("mention_id").reset_index(drop=True)
@@ -313,7 +366,7 @@ def test_worker_read_model_reloads_when_rewritten(tmp_path, small_fixture, map_c
     model.write_text("2 4\nalpha 0.1 0.2 0.3 0.4\nbeta 0.4 0.3 0.2 0.1\n")
     cfg = dataclasses.replace(LinkageConfig(), word2vec_path=str(model))
     mentions = extract_mentions(rd.from_arrow(small_fixture["pages"]), cfg).materialize()
-    assert _score_and_merge(mentions, cfg, {}, None).count() == mentions.count()
+    assert _score_and_merge(lambda: mentions, cfg, {}, None).count() == mentions.count()
     (fn,) = _score_blocks(map_calls)
 
     builds = _count_scorer_builds(monkeypatch)
