@@ -753,6 +753,28 @@ def _q_multimodal_features(sf_dir: str):
     return feats.map_batches(summarize, batch_format="pyarrow")
 
 
+# the planted-truth macro pairwise F1 every linkage query must reach on
+# the pages fixture (the pytest conformance floor)
+LINKAGE_F1_FLOOR = 0.99
+
+
+def _linkage_f1_checked(clusters) -> pd.DataFrame:
+    """Pairwise scores of `clusters` (a pinned Dataset) against the
+    fixture's truth; raises below the floor, so a quality regression
+    fails the driver run instead of passing rows-only."""
+    import pyarrow.parquet as pq
+
+    from hgcn_name_disambiguation_ray.pipelines.linkage import clusters_with_truth
+    from hgcn_name_disambiguation_ray.stages.evaluate import pairwise_scores
+
+    truth = pq.read_table(os.path.join(_fixture_pages_dir(), "truth.parquet"))
+    scores = pairwise_scores(clusters_with_truth(clusters, truth))
+    f1 = float(scores.loc[scores["block_key"] == "__macro__", "f1"].iloc[0])
+    if not f1 >= LINKAGE_F1_FLOOR:  # explicit raise (NaN too): survives python -O
+        raise ValueError(f"linkage macro pairwise F1 {f1:.4f} < {LINKAGE_F1_FLOOR} floor")
+    return scores
+
+
 def _q_linkage_clusters(sf_dir: str):
     import ray.data as rd
 
@@ -760,27 +782,19 @@ def _q_linkage_clusters(sf_dir: str):
     from hgcn_name_disambiguation_ray.pipelines.linkage import run_linkage
 
     pages = rd.read_parquet(os.path.join(_fixture_pages_dir(), "pages.parquet"))
-    return run_linkage(pages, LinkageConfig()).to_pandas().sort_values(
-        "mention_id"
-    ).reset_index(drop=True)
+    clusters = run_linkage(pages, LinkageConfig()).materialize()
+    _linkage_f1_checked(clusters)
+    return clusters.to_pandas().sort_values("mention_id").reset_index(drop=True)
 
 
 def _q_linkage_scores(sf_dir: str):
-    import pyarrow.parquet as pq
     import ray.data as rd
 
     from hgcn_name_disambiguation_ray.config import LinkageConfig
-    from hgcn_name_disambiguation_ray.pipelines.linkage import (
-        clusters_with_truth,
-        run_linkage,
-    )
-    from hgcn_name_disambiguation_ray.stages.evaluate import pairwise_scores
+    from hgcn_name_disambiguation_ray.pipelines.linkage import run_linkage
 
-    fdir = _fixture_pages_dir()
-    pages = rd.read_parquet(os.path.join(fdir, "pages.parquet"))
-    clusters = run_linkage(pages, LinkageConfig())
-    truth = pq.read_table(os.path.join(fdir, "truth.parquet"))
-    return pairwise_scores(clusters_with_truth(clusters, truth))
+    pages = rd.read_parquet(os.path.join(_fixture_pages_dir(), "pages.parquet"))
+    return _linkage_f1_checked(run_linkage(pages, LinkageConfig()))
 
 
 def _q_asof_latest_event(sf_dir: str):
@@ -1629,7 +1643,8 @@ def _q_linkage_sharded(sf_dir: str):
     src = os.path.join(_fixture_pages_dir(), "pages.parquet")
     with tempfile.TemporaryDirectory(prefix="hgcn_ray_shard_ckpt_") as ckpt:
         out = run_linkage(rd.read_parquet(src), LinkageConfig(), checkpoint_dir=ckpt,
-                          lineage_token=src, n_shards=4)
+                          lineage_token=src, n_shards=4).materialize()
+        _linkage_f1_checked(out)
         # read into pandas before the shard files go
         return out.to_pandas().sort_values("mention_id").reset_index(drop=True)
 

@@ -6,10 +6,13 @@
     -> map_batches(add_block_keys)            # M1 normalized-name key
     [-> parquet checkpoint 'mentions']        # resume point; count pass reads
                                               #   ONLY the block_key column
-    -> map_batches(AssignSalt(salt_map))      # hot-key skew split; a fused
-                                              #   task, the map rides in the closure
-    -> groupby(block_key, salt)               # THE shuffle
-       .map_groups(score_block)               # a task; one BlockScorer per worker
+    -> map_batches(salt_and_bucket)           # hot-key skew split + one int32
+                                              #   __bucket per (block_key, salt)
+                                              #   group; fused, maps in the closure
+    -> sort("__bucket", boundaries=1..B-1)    # THE shuffle: exactly B buckets,
+                                              #   no sampling round
+    -> map_batches(score_block)               # one task per bucket; one
+                                              #   BlockScorer per worker
     -> [closure over hub + cross-salt edges]  # only when salting occurred
     -> clusters(block_key, salt, mention_id, cluster_id)
 
@@ -28,6 +31,7 @@ pass does not recompute the extract.
 from __future__ import annotations
 
 import functools
+import heapq
 import os
 from typing import Callable
 
@@ -49,7 +53,7 @@ from hgcn_name_disambiguation_ray.stages.blocking import (
     make_salt_map,
 )
 from hgcn_name_disambiguation_ray.stages.extract import extract_batch
-from hgcn_name_disambiguation_ray.stages.groupagg import worker_cached
+from hgcn_name_disambiguation_ray.stages.groupagg import _bucket_of, worker_cached
 from hgcn_name_disambiguation_ray.stages.scorer import BlockScorer
 
 MENTION_COLUMNS = [
@@ -150,18 +154,76 @@ def _w2v_blob_ref(cfg: LinkageConfig):
 
 
 def _scorer_parts(n_rows: int, cfg: LinkageConfig) -> int:
-    """Shuffle-partition count for the scorer stage: ~4x cluster CPUs at
-    scale (keeps every core busy, bounds straggler tails), CAPPED by the
-    input size — the shuffle's output-partition count follows its input
-    block count, and a small input split into 4xCPU near-empty blocks
-    pays fixed per-block scheduling overhead through EVERY downstream
-    stage (scorer, hot-root signal shuffles, relabel) for no parallelism
-    gain. Measured on the 5k-page bench fixture at 32 cpus: scorer+merge
-    15.2 s at ~20 parts vs 32.9 s at 128. The row cap targets ~one
-    salt-cap-sized sub-block per partition."""
+    """Bucket count B of the scorer stage (one scorer task and one output
+    block per bucket): ~4x cluster CPUs at scale (keeps every core busy,
+    bounds straggler tails), CAPPED by the input size — a small input
+    split into 4xCPU near-empty blocks pays fixed per-block scheduling
+    overhead through EVERY downstream stage (checkpoint, hot-root signal
+    shuffles, relabel, sink) for no parallelism gain. Measured on the
+    5k-page bench fixture at 32 cpus: scorer+merge 15.2 s at ~20 parts
+    vs 32.9 s at 128. The row cap targets ~one salt-cap-sized sub-block
+    per bucket."""
     by_cpu = max(8, 4 * int(ray.cluster_resources().get("CPU", 8)))
     by_rows = max(8, -(-n_rows // max(cfg.salt_cap, 64)))
     return min(by_cpu, by_rows)
+
+
+def _large_group_rows(n_rows: int, cfg: LinkageConfig) -> int:
+    """Scorer groups over n // (4B) rows are placed on buckets by the
+    driver; smaller ones hash. At most 4B groups are that large."""
+    return n_rows // (4 * _scorer_parts(n_rows, cfg))
+
+
+def _place_large_groups(
+    sizes: dict[str, int], salt_map: dict[str, int], min_rows: int, n_buckets: int
+) -> dict[str, list[int]]:
+    """{block_key: the bucket of each of its salts} for every (block_key,
+    salt) group over `min_rows` rows, largest first onto the least-loaded
+    bucket. A salted key's groups count as equal shares of its mentions
+    (salts split by mention-id hash, so the shares are close)."""
+    groups = []
+    for k, n in sizes.items():
+        n_salts = salt_map.get(k, 1)
+        rows = -(-n // n_salts)
+        if rows > min_rows:
+            groups += [(rows, k, j) for j in range(n_salts)]
+    groups.sort(key=lambda g: (-g[0], g[1], g[2]))
+    load = [(0, b) for b in range(n_buckets)]
+    placed: dict[str, list[int]] = {}
+    for rows, k, j in groups:
+        used, b = heapq.heappop(load)
+        placed.setdefault(k, [0] * salt_map.get(k, 1))[j] = b
+        heapq.heappush(load, (used + rows, b))
+    return placed
+
+
+def _salt_and_bucket(
+    salt_map: dict[str, int], placed: dict[str, list[int]], n_buckets: int
+) -> Callable[[pa.Table], pa.Table]:
+    """The fused salt + bucket map: `AssignSalt`'s salt, then an int32
+    `__bucket` per (block_key, salt) group, the driver's placement for a
+    placed group and `_bucket_of % n_buckets` for every other one. Both
+    maps are vectorized, and the placement rides in the closure as an
+    Arrow key array and a (key, salt) -> bucket matrix."""
+    assign = AssignSalt(salt_map)
+    keys = sorted(placed)
+    key_arr = pa.array(keys, type=pa.string())
+    table = np.zeros((len(keys), max(map(len, placed.values()), default=1)), np.int32)
+    for i, k in enumerate(keys):
+        table[i, : len(placed[k])] = placed[k]
+
+    def salt_and_bucket(t: pa.Table) -> pa.Table:
+        import pyarrow.compute as pc
+
+        t = assign(t)
+        bucket = _bucket_of(t, ["block_key", "salt"], n_buckets)
+        if keys:
+            i = pc.fill_null(pc.index_in(t["block_key"], value_set=key_arr), -1).to_numpy()
+            hit = i >= 0
+            bucket[hit] = table[i[hit], t["salt"].to_numpy()[hit]]
+        return t.append_column("__bucket", pa.array(bucket, type=pa.int32()))
+
+    return salt_and_bucket
 
 
 def _merge_hot_relabel(
@@ -241,10 +303,10 @@ def run_linkage(
         )
     cfg = cfg or LinkageConfig()
     mentions = _prepare_mentions(pages, cfg, checkpoint_dir, lineage_token, mentions)
-    salt_map = _salt_map(mentions, cfg)
+    salt_map, sizes = _salt_map(mentions, cfg)
     w2v_ref = _w2v_blob_ref(cfg)
     if not checkpoint_dir:
-        return _score_and_merge(lambda: mentions, cfg, salt_map, w2v_ref)
+        return _score_and_merge(lambda: mentions, cfg, salt_map, w2v_ref, sizes=sizes)
     lineage = fingerprint("clusters-v2", lineage_token, cfg, sorted(salt_map.items()), n_shards)
 
     def shard_mentions(s: int) -> Dataset:
@@ -257,10 +319,12 @@ def run_linkage(
         # pinned: the scorer's row count and its shuffle both read it
         return mentions.map_batches(keep, batch_format="pyarrow").materialize()
 
+    shard_of = dict(zip(sizes, block_key_bucket(list(sizes), n_shards)))
     shards = [
         _score_and_merge(
             functools.partial(shard_mentions, s), cfg, salt_map, w2v_ref,
             (f"{checkpoint_dir}/shard={s}", f"{lineage}:{s}"),
+            sizes={k: n for k, n in sizes.items() if shard_of[k] == s},
         )
         for s in range(n_shards)
     ]
@@ -301,10 +365,16 @@ def _prepare_mentions(
     return mentions
 
 
-def _salt_map(mentions: Dataset, cfg: LinkageConfig) -> dict[str, int]:
-    # only hot keys (n > salt_cap) leave the Dataset — the distinct-key
-    # set is unbounded at web scale and must never reach the driver whole
-    return make_salt_map(block_counts(mentions, min_count=cfg.salt_cap), cfg.salt_cap)
+def _salt_map(mentions: Dataset, cfg: LinkageConfig) -> tuple[dict[str, int], dict[str, int]]:
+    """One block-count pass gives the salt map {hot key: n_salts} and the
+    mention count of every key that may hold a large scorer group. Only
+    keys over min(salt_cap, n // (4B)) leave the Dataset, at most
+    4B + n / salt_cap of them: the distinct-key set is unbounded at web
+    scale and must never reach the driver whole."""
+    n = mentions.count()
+    counts = block_counts(mentions, min_count=min(cfg.salt_cap, _large_group_rows(n, cfg)))
+    sizes = dict(zip(counts["block_key"], counts["n"].tolist())) if "n" in counts else {}
+    return make_salt_map(counts, cfg.salt_cap), sizes
 
 
 def _score_and_merge(
@@ -313,25 +383,40 @@ def _score_and_merge(
     salt_map: dict[str, int],
     w2v_ref,
     scorer_ckpt: tuple[str, str] | None = None,
+    sizes: dict[str, int] | None = None,
 ) -> Dataset:
-    """The linkage tail over a pinned or checkpointed mention set: salt ->
-    repartition -> BlockScorer task -> optional scorer checkpoint (stage dir,
-    lineage) -> cross-salt merge when any key was salted. Output columns
-    are CLUSTERS_SCHEMA's. `mentions()` gives the mention set and is only
-    called when the scorer runs, so a finished checkpoint reads no
-    mentions. `w2v_ref` is the run's `_w2v_blob_ref(cfg)`, put once per
-    run so that every shard keys the same cached scorer."""
+    """The linkage tail over a pinned or checkpointed mention set: salt and
+    bucket -> sort by bucket -> one BlockScorer task per bucket ->
+    optional scorer checkpoint (stage dir, lineage) -> cross-salt merge
+    when any key was salted. Output columns are CLUSTERS_SCHEMA's.
+    `mentions()` gives the mention set and is only called when the scorer
+    runs, so a finished checkpoint reads no mentions. `w2v_ref` is the
+    run's `_w2v_blob_ref(cfg)`, put once per run so that every shard keys
+    the same cached scorer. `sizes` holds the mention count of this
+    shard's keys that may hold a large group (`_salt_map`); without it
+    every group hashes to its bucket."""
     # a task, not an actor pool: each worker builds the scorer (and fetches
     # the model) once, and keeps it across tasks and shards
     emit_signatures = bool(salt_map)
     key = (repr(cfg), emit_signatures, w2v_ref.hex() if w2v_ref else None)
 
-    def score_block(group: pa.Table) -> pa.Table:
+    def score_block(bucket: pa.Table) -> pa.Table:
         # a model only the workers can read is keyed by its stat, so one
         # rewritten in place is reloaded, as a driver-read one is
         st = os.stat(cfg.word2vec_path) if cfg.word2vec_path and w2v_ref is None else None
         k = (*key, st and (st.st_mtime_ns, st.st_size))
-        return worker_cached(k, lambda: BlockScorer(cfg, False, emit_signatures, w2v_ref))(group)
+        scorer = worker_cached(k, lambda: BlockScorer(cfg, False, emit_signatures, w2v_ref))
+        if bucket.num_rows == 0:
+            return SCORER_SCHEMA.empty_table()
+        # each (block_key, salt) run of the sorted bucket is one group
+        t = bucket.drop_columns(["__bucket"]).sort_by(
+            [("block_key", "ascending"), ("salt", "ascending")])
+        bk, salt = t["block_key"].to_numpy(), t["salt"].to_numpy()
+        cuts = [0, *(np.flatnonzero((bk[1:] != bk[:-1]) | (salt[1:] != salt[:-1])) + 1).tolist(),
+                t.num_rows]
+        return pa.concat_tables(
+            [scorer(t.slice(a, b - a)) for a, b in zip(cuts[:-1], cuts[1:])]
+        ).combine_chunks()
 
     def score() -> Dataset:
         ms = mentions()
@@ -341,12 +426,15 @@ def _score_and_merge(
         if schema is not None:
             inputs = ms.select_columns(
                 [c for c in SCORER_INPUT_COLUMNS if c in schema.names])
-        # an AssignSalt INSTANCE runs as a plain task fused with its neighbours
-        # (the salt map holds hot keys only and travels in the closure)
-        salted = inputs.map_batches(AssignSalt(salt_map), batch_format="pyarrow")
-        salted = salted.repartition(_scorer_parts(ms.count(), cfg))
-        return salted.groupby(["block_key", "salt"]).map_groups(
-            score_block, batch_format="pyarrow"
+        n = ms.count()
+        n_buckets = _scorer_parts(n, cfg)
+        placed = _place_large_groups(sizes or {}, salt_map, _large_group_rows(n, cfg), n_buckets)
+        # explicit boundaries: exactly one sort partition per bucket, and
+        # no sampling round; a task then scores one whole bucket
+        return inputs.map_batches(
+            _salt_and_bucket(salt_map, placed, n_buckets), batch_format="pyarrow"
+        ).sort("__bucket", boundaries=list(range(1, n_buckets))).map_batches(
+            score_block, batch_size=None, batch_format="pyarrow"
         )
 
     if scorer_ckpt:
@@ -425,9 +513,8 @@ def clusters_with_truth(clusters: Dataset, truth: pa.Table) -> Dataset:
 def write_clusters(clusters: Dataset, out_dir: str) -> None:
     """Resumable sink: Parquet partitioned by a bounded key-hash prefix."""
     def add_prefix(batch: pa.Table) -> pa.Table:
-        # the scorer emits one chunk per (block_key, salt) group; the
-        # partitioned write is faster over one contiguous chunk per column
-        batch = batch.combine_chunks()
+        # the scorer emits one contiguous block per bucket, so the batch
+        # needs no combine_chunks before the partitioned write
         pref = block_key_bucket(batch["block_key"], 64)
         return batch.append_column("block_prefix", pa.array(pref, type=pa.int32()))
 

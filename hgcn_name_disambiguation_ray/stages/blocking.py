@@ -87,11 +87,10 @@ def make_salt_map(counts: pd.DataFrame, salt_cap: int) -> dict[str, int]:
 class AssignSalt:
     """Salt stage: salt = stable_hash(mention_id) % n_salts(key).
 
-    The linkage pipeline passes an INSTANCE built from the salt map
-    (`map_batches(AssignSalt(salt_map))`): Ray runs a callable instance as
-    a plain task that fuses with its neighbouring maps, and the map (hot
-    keys only) ships inside the task. The constructor also takes an
-    ObjectRef, fetched once per instance.
+    The linkage pipeline calls an INSTANCE built from the salt map inside
+    its fused salt + bucket map (`pipelines/linkage._salt_and_bucket`), a
+    plain task, so the map (hot keys only) ships inside the task. The
+    constructor also takes an ObjectRef, fetched once per instance.
     """
 
     def __init__(self, salt_map_ref: "ray.ObjectRef | dict"):

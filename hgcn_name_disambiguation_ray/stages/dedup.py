@@ -123,10 +123,15 @@ def exact_dedup_corpus(
     """The deduped CORPUS itself: the min-id representative row of every
     distinct text survives, all other copies drop. The keep-set is
     O(distinct docs) — never broadcastable at web scale — so survivors
-    are selected with a distributed LEFT SEMI join against it."""
+    are selected with a distributed LEFT SEMI join against it. The
+    keep-set is pinned first: it is empty only for an empty corpus, which
+    is then its own result, since Ray's hash join raises ArrowInvalid on
+    a 0-row input (ROADMAP C8)."""
     keep = exact_dedup(ds, text_col, id_col).map_batches(
         lambda t: pa.table({id_col: t["keep_id"]}), batch_format="pyarrow"
-    )
+    ).materialize()
+    if keep.count() == 0:
+        return ds
     return hash_join(ds, keep, on=[id_col], how="semi")
 
 

@@ -10,9 +10,11 @@ the reference's per-name inner loop (SURVEY.md §3; reference
   -> fused one-layer graph encoder + LINE training (C1-C4, numpy)
   -> graph-constrained HAC with modularity auto-k (C5/C6)
 
-`pipelines/linkage` calls it from a plain `map_groups` task that keeps
-one instance per Ray worker (`groupagg.worker_cached`), so the model and
-the embedder cache are reused across blocks and tasks (ST1/ST2).
+`pipelines/linkage` calls it from a plain `map_batches` task per scorer
+bucket, which sorts the bucket's rows by (block_key, salt) and hands each
+group's slice to one instance kept per Ray worker
+(`groupagg.worker_cached`), so the model and the embedder cache are
+reused across blocks and tasks (ST1/ST2).
 
 Determinism contract (replaces the reference's unseeded randomness,
 §2.10): mentions are sorted by mention_id before indexing, and the rng

@@ -204,20 +204,23 @@ def incremental_dedup(
     anti-join bit for bit (SQL-oracle-checked).
 
     The probe is recomputed by each branch on purpose: re-hashing a
-    batch is far cheaper than materializing the whole new corpus."""
+    batch is far cheaper than materializing the whole new corpus. Only
+    the maybe-seen side, O(overlap), is pinned: a crawl disjoint from the
+    snapshot leaves it empty, and the anti-join is skipped, since Ray's
+    hash join raises ArrowInvalid on a 0-row input (ROADMAP C8)."""
     ref = ray.put(bloom_build(snapshot_ds, col, m_bits, k))
     cols = new_ds.columns()
     definitely_new = new_ds.map_batches(
         lambda t: t.filter(pa.array(~_bloom_seen(t, ref, col, k))), batch_format="pyarrow"
-    )
+    ).select_columns(cols)
     maybe_seen = new_ds.map_batches(
         lambda t: t.filter(pa.array(_bloom_seen(t, ref, col, k))), batch_format="pyarrow"
-    )
+    ).materialize()
+    if maybe_seen.count() == 0:
+        return definitely_new
     snap_keys = snapshot_ds.select_columns([col])
     resurrected = hash_join(maybe_seen, snap_keys, on=[col], how="anti")
-    return definitely_new.select_columns(cols).union(
-        resurrected.select_columns(cols)
-    )
+    return definitely_new.union(resurrected.select_columns(cols))
 
 
 # --------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 import pytest
 
 
@@ -305,6 +306,19 @@ def test_exact_dedup_corpus_keeps_min_id_rows(corpus_ds):
     # every duplicated text keeps its min-id copy, copies 100..104 drop
     assert set(range(5)) <= set(out["doc_id"])
     assert not any(100 <= d <= 104 for d in out["doc_id"])
+
+
+def test_exact_dedup_corpus_empty_corpus(ray_session):
+    """An empty corpus dedups to an empty, typed corpus (the semi join
+    against its empty keep-set raised ArrowInvalid)."""
+    import ray.data as rd
+
+    from hgcn_name_disambiguation_ray.stages.dedup import exact_dedup_corpus
+
+    empty = pa.table({"doc_id": pa.array([], pa.int64()), "text": pa.array([], pa.string())})
+    out = exact_dedup_corpus(rd.from_arrow(empty)).materialize()
+    assert out.count() == 0
+    assert out.schema().base_schema.equals(empty.schema)
 
 
 def test_segmented_pair_indices_matches_naive():

@@ -593,34 +593,47 @@ def test_linkage_finishes_on_one_cpu(ray_session, small_fixture):
 
 def test_scorer_shuffle_carries_only_read_columns(ray_session, small_fixture, tmp_path,
                                                   monkeypatch):
-    """score_block receives only the columns BlockScorer reads, plus the
-    salt, in the plain run and in the cross_merge="title" run (which adds
+    """BlockScorer receives only the columns it reads, plus the salt, in
+    the plain run and in the cross_merge="title" run (which adds
     coentities_ext): url, name, title and year never enter the scorer's
-    shuffle. Each group's column names are appended to a file, since the
-    groups are scored in worker processes."""
+    shuffle, and the shuffle's __bucket stops at score_block. Each group's
+    column names are appended to a file, since the groups are scored in
+    worker processes."""
     import dataclasses
 
     import ray.data as rd
-    from ray.data.grouped_data import GroupedData
+    from ray.data import Dataset
 
     from hgcn_name_disambiguation_ray.config import LinkageConfig
     from hgcn_name_disambiguation_ray.pipelines.linkage import run_linkage
 
     seen = tmp_path / "columns"
-    orig = GroupedData.map_groups
+    orig = Dataset.map_batches
 
     def spy(self, fn, *args, **kwargs):
         if getattr(fn, "__name__", "") == "score_block":
             inner, path = fn, str(seen)
 
-            def fn(group):
-                with open(path, "a") as f:
-                    f.write(",".join(sorted(group.column_names)) + "\n")
-                return inner(group)
+            def fn(bucket):
+                # record what reaches BlockScorer inside this worker
+                from hgcn_name_disambiguation_ray.stages.scorer import BlockScorer
+
+                call = BlockScorer.__call__
+
+                def recording(self, group):
+                    with open(path, "a") as f:
+                        f.write(",".join(sorted(group.column_names)) + "\n")
+                    return call(self, group)
+
+                BlockScorer.__call__ = recording
+                try:
+                    return inner(bucket)
+                finally:
+                    BlockScorer.__call__ = call
 
         return orig(self, fn, *args, **kwargs)
 
-    monkeypatch.setattr(GroupedData, "map_groups", spy)
+    monkeypatch.setattr(Dataset, "map_batches", spy)
     pages = rd.from_arrow(small_fixture["pages"])
     read = ["block_key", "salt", "mention_id", "coentities", "host", "tokens",
             "tokens_stemmed"]
@@ -629,3 +642,27 @@ def test_scorer_shuffle_carries_only_read_columns(ray_session, small_fixture, tm
         seen.unlink(missing_ok=True)
         assert len(run_linkage(pages, cfg).to_pandas()) > 0
         assert set(seen.read_text().splitlines()) == {",".join(sorted(read + extra))}
+
+
+def test_linkage_queries_raise_below_f1_floor(ray_session, monkeypatch):
+    """The three linkage queries score their clusters against the pages
+    fixture's planted truth and raise below the F1 floor: with every
+    block collapsed to one cluster, each one fails the driver run."""
+    import pyarrow as pa
+
+    import __ray_entry__ as entry
+    from hgcn_name_disambiguation_ray.pipelines import linkage
+
+    real = linkage.run_linkage
+
+    def one_cluster_per_block(*args, **kwargs):
+        def collapse(t: pa.Table) -> pa.Table:
+            i = t.schema.get_field_index("cluster_id")
+            return t.set_column(i, "cluster_id", t["block_key"])
+
+        return real(*args, **kwargs).map_batches(collapse, batch_format="pyarrow")
+
+    monkeypatch.setattr(linkage, "run_linkage", one_cluster_per_block)
+    for name in ("linkage_clusters", "linkage_scores", "linkage_sharded"):
+        with pytest.raises(ValueError, match="floor"):
+            entry.queries()[name]("")

@@ -135,6 +135,22 @@ def test_incremental_dedup_equals_exact_anti_join():
     assert sorted(out["doc_id"]) == sorted(expected["doc_id"])
 
 
+@pytest.mark.usefixtures("ray_session")
+def test_incremental_dedup_disjoint_crawl_keeps_every_row():
+    """A crawl disjoint from the snapshot: the Bloom filter calls every
+    row new, so the maybe-seen side is empty and no anti-join runs (Ray's
+    hash join raised ArrowInvalid on that empty side)."""
+    import ray.data as rd
+
+    from hgcn_name_disambiguation_ray.stages.sketch import incremental_dedup
+
+    old = pd.DataFrame({"doc_id": np.arange(30), "url": [f"http://old/{i}" for i in range(30)]})
+    new = pd.DataFrame({"doc_id": np.arange(30), "url": [f"http://new/{i}" for i in range(30)]})
+    out = incremental_dedup(rd.from_pandas(new), rd.from_pandas(old), "url").to_pandas()
+    assert list(out.columns) == ["doc_id", "url"]
+    assert sorted(out["url"]) == sorted(new["url"])
+
+
 # --------------------------------------------------------------------------
 # KLL quantile sketch
 # --------------------------------------------------------------------------
